@@ -89,16 +89,6 @@ double Interconnect::model_message(int src, int dst, std::size_t bytes,
   return clock;
 }
 
-double Interconnect::transfer(int src, int dst, const void* payload, void* out,
-                              std::size_t bytes, double start) {
-  LockGuard lock(mu_);
-  const double clock = model_message(src, dst, bytes, start);
-  if (payload != nullptr && out != nullptr && bytes > 0) {
-    std::memcpy(out, payload, bytes);
-  }
-  return clock;
-}
-
 PostedFetch Interconnect::post_fetch(int src, int dst, const void* payload,
                                      void* out, std::size_t bytes,
                                      double start) {

@@ -1,13 +1,13 @@
 // Cluster-simulation tests (src/dist/cluster/, docs/DISTRIBUTED.md):
 // partition invariants (unique ownership, symmetric halo/boundary maps),
-// batch chunking, interconnect timing/occupancy/payload integrity (sync
-// transfer and async post_fetch/wait_fetch, duplex NIC accounting), remote
-// cache plans against the uncached per-owner grouping, monotone replication
-// under growing capacity, and the trainer's determinism ladder — a 1-node
-// cluster reproduces the single-node Trainer's loss trajectory bitwise, a
-// fixed (seed, node count, pipeline depth) is bitwise reproducible, 1/2/4-
-// node runs learn while keeping replicas exactly in sync, and the pipelined
-// step protocol at any depth reproduces the bulk-synchronous losses bitwise
+// batch chunking, interconnect timing/occupancy/payload integrity
+// (post_fetch/wait_fetch, duplex NIC accounting), remote cache plans against
+// the uncached per-owner grouping, monotone replication under growing
+// capacity, and the trainer's determinism ladder — a 1-node cluster
+// reproduces the single-node Trainer's loss trajectory bitwise, a fixed
+// (seed, node count, pipeline depth) is bitwise reproducible, 1/2/4-node
+// runs learn while keeping replicas exactly in sync and beat chance, and
+// every depth >= 1 reproduces the depth-0 (bulk-synchronous) losses bitwise
 // while strictly lowering simulated epoch time.
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "graph/dataset.h"
 #include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
+#include "train/inference.h"
 #include "train/trainer.h"
 
 namespace salient {
@@ -245,7 +246,14 @@ TEST(GroupRowsByOwner, PartitionsEveryInputRow) {
 // Interconnect
 // ---------------------------------------------------------------------------
 
-TEST(InterconnectTest, TransferTimeMatchesModelAndPayloadArrives) {
+/// Post one fetch and wait on it at once; returns its completion time.
+double fetch_now(Interconnect& net, int src, int dst, const void* payload,
+                 void* out, std::size_t bytes, double start) {
+  const auto posted = net.post_fetch(src, dst, payload, out, bytes, start);
+  return net.wait_fetch(posted.id);
+}
+
+TEST(InterconnectTest, FetchTimeMatchesModelAndPayloadArrives) {
   InterconnectConfig cfg;
   cfg.link_gbps = 8.0;
   cfg.latency_us = 50.0;
@@ -254,7 +262,7 @@ TEST(InterconnectTest, TransferTimeMatchesModelAndPayloadArrives) {
 
   std::vector<float> src(250, 1.5f), dst(250, 0.0f);
   const std::size_t bytes = src.size() * sizeof(float);  // 1000 B payload
-  const double end = net.transfer(0, 1, src.data(), dst.data(), bytes, 0.0);
+  const double end = fetch_now(net, 0, 1, src.data(), dst.data(), bytes, 0.0);
   const double expect =
       50e-6 + static_cast<double>(bytes + 100) * 8.0 / (8.0 * 1e9);
   EXPECT_NEAR(end, expect, 1e-12);
@@ -270,16 +278,16 @@ TEST(InterconnectTest, ReceiverNicSerializesConcurrentSenders) {
   Interconnect net(3, cfg);
   std::vector<char> payload(1 << 16), sink(1 << 16);
   const double e1 =
-      net.transfer(0, 2, payload.data(), sink.data(), payload.size(), 0.0);
+      fetch_now(net, 0, 2, payload.data(), sink.data(), payload.size(), 0.0);
   // Same destination, same requested start: must queue behind the first.
   const double e2 =
-      net.transfer(1, 2, payload.data(), sink.data(), payload.size(), 0.0);
+      fetch_now(net, 1, 2, payload.data(), sink.data(), payload.size(), 0.0);
   EXPECT_GT(e2, e1);
   EXPECT_NEAR(e2 - e1, e1, 1e-12);  // identical message => identical cost
   // A message between two idle NICs at time 0 is not delayed.
   Interconnect fresh(3, cfg);
-  const double e3 =
-      fresh.transfer(0, 1, payload.data(), sink.data(), payload.size(), 0.0);
+  const double e3 = fetch_now(fresh, 0, 1, payload.data(), sink.data(),
+                              payload.size(), 0.0);
   EXPECT_NEAR(e3, e1, 1e-12);
 }
 
@@ -300,24 +308,24 @@ TEST(InterconnectTest, AllreduceChargesTwoRingPhases) {
   EXPECT_DOUBLE_EQ(one.allreduce_time(buffer, 0.25), 0.25);
 }
 
-TEST(InterconnectTest, PostedFetchMatchesSynchronousTransfer) {
-  // post_fetch charges exactly the transfer() model — same NIC occupancy,
-  // same completion time, same busy accounting — it only defers the payload
-  // commit to wait_fetch.
+TEST(InterconnectTest, PostedFetchCommitsAtWait) {
+  // A posted fetch is fully charged at post — completion time and busy
+  // accounting are known there, and a later wait does not change them —
+  // but its payload is committed only at wait_fetch.
   InterconnectConfig cfg;
   cfg.latency_us = 15.0;
-  std::vector<char> payload(1 << 14, 'p'), sync_out(1 << 14),
-      async_out(1 << 14);
-  Interconnect sync_net(2, cfg);
-  const double sync_end = sync_net.transfer(0, 1, payload.data(),
-                                            sync_out.data(), payload.size(),
-                                            0.5);
+  std::vector<char> payload(1 << 14, 'p'), async_out(1 << 14);
   Interconnect async_net(2, cfg);
   const auto posted = async_net.post_fetch(0, 1, payload.data(),
                                            async_out.data(), payload.size(),
                                            0.5);
-  EXPECT_DOUBLE_EQ(posted.completion, sync_end);
-  EXPECT_DOUBLE_EQ(async_net.busy_seconds(), sync_net.busy_seconds());
+  const double expect =
+      0.5 + 15e-6 +
+      static_cast<double>(payload.size() + cfg.message_overhead_bytes) * 8.0 /
+          (cfg.link_gbps * 1e9);
+  EXPECT_NEAR(posted.completion, expect, 1e-12);
+  const double busy_at_post = async_net.busy_seconds();
+  EXPECT_NEAR(busy_at_post, posted.completion - 0.5, 1e-12);
   EXPECT_EQ(async_net.pending_fetches(), 1);
   // Commit happens at wait, not post — the receive buffer is untouched
   // until then, like a NIC receive ring.
@@ -325,6 +333,7 @@ TEST(InterconnectTest, PostedFetchMatchesSynchronousTransfer) {
   EXPECT_DOUBLE_EQ(async_net.wait_fetch(posted.id), posted.completion);
   EXPECT_EQ(async_out, payload);
   EXPECT_EQ(async_net.pending_fetches(), 0);
+  EXPECT_DOUBLE_EQ(async_net.busy_seconds(), busy_at_post);
   // A handle is consumed by its wait.
   EXPECT_THROW(async_net.wait_fetch(posted.id), std::invalid_argument);
 }
@@ -370,7 +379,9 @@ TEST(InterconnectTest, RejectsBadConfigAndNodes) {
   EXPECT_THROW(Interconnect(2, bad), std::invalid_argument);
   Interconnect net(2, {});
   char c = 0;
-  EXPECT_THROW(net.transfer(0, 2, &c, &c, 1, 0.0), std::invalid_argument);
+  EXPECT_THROW(net.post_fetch(0, 2, &c, &c, 1, 0.0), std::invalid_argument);
+  EXPECT_THROW(net.post_fetch(-1, 1, &c, &c, 1, 0.0), std::invalid_argument);
+  EXPECT_EQ(net.pending_fetches(), 0);  // a rejected post leaves no handle
 }
 
 // ---------------------------------------------------------------------------
@@ -535,6 +546,24 @@ TEST(ClusterTrainerTest, OneNodeMatchesSingleNodeTrainerBitwise) {
   }
 }
 
+TEST(ClusterTrainerTest, RejectsBadNodeCountAndF32FeatureStore) {
+  ClusterConfig none = cluster_config(2);
+  none.partition.num_nodes = 0;
+  EXPECT_THROW(ClusterTrainer(cluster_dataset(), none), std::invalid_argument);
+
+  // Features move in f16 wire precision; an f32 store is refused up front
+  // rather than failing inside the first epoch.
+  DatasetConfig c;
+  c.name = "cluster-f32";
+  c.num_nodes = 500;
+  c.feature_dim = 16;
+  c.num_classes = 5;
+  c.feature_dtype = DType::kF32;
+  c.seed = 3;
+  const Dataset f32 = generate_dataset(c);
+  EXPECT_THROW(ClusterTrainer(f32, cluster_config(2)), std::invalid_argument);
+}
+
 TEST(ClusterTrainerTest, FixedSeedAndNodeCountIsDeterministic) {
   const Dataset& ds = cluster_dataset();
   auto run = [&] {
@@ -555,9 +584,13 @@ TEST(ClusterTrainerTest, FixedSeedAndNodeCountIsDeterministic) {
 }
 
 TEST(ClusterTrainerTest, MultiNodeLearnsStaysInSyncAndReportsTraffic) {
+  // The data-parallel invariants end to end: identical replicas before any
+  // step and after every epoch, and the averaged model learns the task.
   const Dataset& ds = cluster_dataset();
+  const std::vector<std::int64_t> eval_fanouts{8, 8};
   for (const int nodes : {2, 4}) {
     ClusterTrainer t(ds, cluster_config(nodes, 0.05));
+    EXPECT_TRUE(t.replicas_in_sync()) << nodes << " nodes, before training";
     double first = 0, last = 0;
     for (int e = 0; e < 3; ++e) {
       const auto r = t.train_epoch(e);
@@ -572,6 +605,10 @@ TEST(ClusterTrainerTest, MultiNodeLearnsStaysInSyncAndReportsTraffic) {
       EXPECT_EQ(r.net_retries, 0);
     }
     EXPECT_LT(last, first) << nodes << "-node cluster must learn";
+    const double acc = evaluate_sampled(*t.replica(0), ds, ds.test_idx,
+                                        eval_fanouts, 256, 5)
+                           .accuracy;
+    EXPECT_GT(acc, 0.5) << nodes << " nodes; 5 classes, so chance is 0.2";
   }
 }
 
@@ -617,7 +654,7 @@ TEST(ClusterTrainerTest, CacheCutsTrafficWithoutChangingLosses) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined step protocol (pipeline_depth >= 1)
+// Pipeline depth (0 = a window of one batch)
 // ---------------------------------------------------------------------------
 
 /// One protocol run's observables: everything that must be depth-invariant
@@ -676,18 +713,28 @@ TEST(ClusterPipeline, AnyDepthMatchesBulkSynchronousBitwise) {
   }
 }
 
-TEST(ClusterPipeline, DepthZeroIsTheBulkSynchronousPath) {
-  // depth=0 dispatches to the exact pre-pipelining step protocol: no
-  // overlap accounting, no posted fetches, and the result says so.
+TEST(ClusterPipeline, DepthZeroIsAWindowOfOneBatch) {
+  // depth=0 runs the same loop with a one-batch window: each batch's
+  // fetches post at the step boundary, so nothing is hidden and all of the
+  // fetch time is exposed as stall — unless nothing crosses the network.
   ClusterConfig cc = cluster_config(2, 0.05);
   cc.pipeline_depth = 0;
   ClusterTrainer t(cluster_dataset(), cc);
   const auto r = t.train_epoch(0);
   EXPECT_EQ(r.pipeline_depth, 0);
+  EXPECT_GT(r.remote_feature_bytes, 0u);
   EXPECT_DOUBLE_EQ(r.overlap_saved_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(r.stall_seconds, 0.0);
+  EXPECT_GT(r.stall_seconds, 0.0);
   EXPECT_EQ(t.interconnect().pending_fetches(), 0);
   EXPECT_GT(r.sim_epoch_seconds, 0.0);
+
+  ClusterConfig one = cluster_config(1);
+  one.pipeline_depth = 0;
+  ClusterTrainer solo(cluster_dataset(), one);
+  const auto s = solo.train_epoch(0);
+  EXPECT_EQ(s.remote_feature_bytes, 0u);
+  EXPECT_DOUBLE_EQ(s.stall_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(s.overlap_saved_seconds, 0.0);
 }
 
 TEST(ClusterPipeline, EveryDepthIsBitwiseReproducible) {

@@ -1,15 +1,13 @@
-// Distributed-training tests: ring all-reduce correctness under various
-// world sizes and buffer lengths (TEST_P), and the DDP invariants — replicas
-// stay bit-identical, training distributes the epoch, loss decreases.
+// Ring all-reduce tests: the elementwise mean under various world sizes and
+// buffer lengths (TEST_P), bitwise-identical results on every rank, and
+// consistency over repeated rounds. The data-parallel training invariants
+// built on it (replicas in sync, sharded epochs, learning) live with the
+// cluster trainer in test_cluster.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 
 #include "dist/allreduce.h"
-#include "dist/ddp.h"
-#include "graph/dataset.h"
-#include "train/inference.h"
 
 namespace salient {
 namespace {
@@ -44,7 +42,7 @@ TEST_P(AllreduceTest, ComputesElementwiseMean) {
           << "rank " << r << " index " << i;
     }
   }
-  // all ranks hold bitwise-identical results (required for DDP sync)
+  // all ranks hold bitwise-identical results (required for replica sync)
   for (int r = 1; r < world; ++r) {
     ASSERT_EQ(buffers[static_cast<std::size_t>(r)], buffers[0]);
   }
@@ -74,84 +72,6 @@ TEST(Allreduce, RepeatedRoundsStayConsistent) {
       }
     }
   }
-}
-
-Dataset& ddp_dataset() {
-  static Dataset ds = [] {
-    DatasetConfig c;
-    c.name = "ddp-test";
-    c.num_nodes = 5000;
-    c.feature_dim = 16;
-    c.num_classes = 4;
-    c.avg_degree = 8;
-    c.p_in = 0.85;
-    c.seed = 13;
-    c.train_frac = 0.6;
-    c.val_frac = 0.1;
-    c.test_frac = 0.3;
-    return generate_dataset(c);
-  }();
-  return ds;
-}
-
-DdpConfig ddp_config(int world) {
-  const Dataset& ds = ddp_dataset();
-  DdpConfig cfg;
-  cfg.world_size = world;
-  cfg.arch = "sage";
-  cfg.model.in_channels = ds.feature_dim;
-  cfg.model.hidden_channels = 24;
-  cfg.model.out_channels = ds.num_classes;
-  cfg.model.num_layers = 2;
-  cfg.model.seed = 3;
-  cfg.loader.batch_size = 128;
-  cfg.loader.fanouts = {6, 4};
-  cfg.loader.seed = 17;
-  cfg.lr = 5e-3;
-  return cfg;
-}
-
-TEST(Ddp, ReplicasStartAndStayInSync) {
-  DdpTrainer trainer(ddp_dataset(), ddp_config(3));
-  EXPECT_TRUE(trainer.replicas_in_sync());  // identical init
-  auto r = trainer.train_epoch(0);
-  EXPECT_TRUE(trainer.replicas_in_sync()) << "diverged after epoch";
-  EXPECT_GT(r.batches_per_replica, 0);
-  EXPECT_TRUE(std::isfinite(r.mean_loss));
-}
-
-TEST(Ddp, ShardsEpochAcrossReplicas) {
-  DdpTrainer t1(ddp_dataset(), ddp_config(1));
-  DdpTrainer t4(ddp_dataset(), ddp_config(4));
-  const auto r1 = t1.train_epoch(0);
-  const auto r4 = t4.train_epoch(0);
-  // 4 replicas each process ~1/4 the batches of the single replica.
-  EXPECT_NEAR(static_cast<double>(r4.batches_per_replica),
-              static_cast<double>(r1.batches_per_replica) / 4.0, 1.0);
-}
-
-TEST(Ddp, TrainingConvergesWithMultipleReplicas) {
-  DdpTrainer trainer(ddp_dataset(), ddp_config(2));
-  const auto first = trainer.train_epoch(0);
-  DdpEpochResult last{};
-  for (int e = 1; e < 5; ++e) last = trainer.train_epoch(e);
-  EXPECT_LT(last.mean_loss, first.mean_loss);
-  EXPECT_TRUE(trainer.replicas_in_sync());
-
-  // replica 0's model predicts better than chance
-  const std::vector<std::int64_t> fanouts{8, 8};
-  auto acc = evaluate_sampled(*trainer.replica(0), ddp_dataset(),
-                              ddp_dataset().test_idx, fanouts, 256, 5)
-                 .accuracy;
-  EXPECT_GT(acc, 0.45);  // chance = 0.25
-}
-
-TEST(Ddp, RejectsBadConfig) {
-  EXPECT_THROW(DdpTrainer(ddp_dataset(), [&] {
-                 auto c = ddp_config(0);
-                 return c;
-               }()),
-               std::invalid_argument);
 }
 
 }  // namespace
