@@ -1,27 +1,56 @@
 #include "fault/failpoint.h"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 
 namespace salient::fault {
 
+namespace {
+
+// Parse all of `field` as one number: no surrounding text, no sign on an
+// unsigned count, and overflow or a non-finite real is a parse error rather
+// than std::out_of_range or a value that sleep_for cannot take.
+template <class T>
+T parse_number(const std::string& field, const std::string& text) {
+  T v{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  bool ok = !field.empty() && ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) throw std::invalid_argument("bad failpoint number: " + text);
+  return v;
+}
+
+}  // namespace
+
 TriggerSpec TriggerSpec::parse(const std::string& text) {
   std::string body = text;
   TriggerSpec spec;
   if (const auto at = body.find('@'); at != std::string::npos) {
-    spec.arg = std::stod(body.substr(at + 1));
+    spec.arg = parse_number<double>(body.substr(at + 1), text);
+    if (spec.arg < 0) {
+      throw std::invalid_argument("failpoint @ARG must be >= 0: " + text);
+    }
     body.resize(at);
   }
+  // Split on ':' keeping empty fields, so "nth:3:" is rejected, not trimmed.
   std::vector<std::string> parts;
-  std::stringstream ss(body);
-  for (std::string p; std::getline(ss, p, ':');) parts.push_back(p);
-  if (parts.empty()) throw std::invalid_argument("empty failpoint trigger");
+  for (std::size_t pos = 0;;) {
+    const auto colon = body.find(':', pos);
+    parts.push_back(body.substr(pos, colon - pos));
+    if (colon == std::string::npos) break;
+    pos = colon + 1;
+  }
   const std::string& mode = parts[0];
   auto want = [&](std::size_t lo, std::size_t hi) {
     if (parts.size() < lo + 1 || parts.size() > hi + 1) {
@@ -37,16 +66,21 @@ TriggerSpec TriggerSpec::parse(const std::string& text) {
   } else if (mode == "nth") {
     want(1, 1);
     spec.mode = TriggerMode::kNth;
-    spec.n = std::stoull(parts[1]);
+    spec.n = parse_number<std::uint64_t>(parts[1], text);
   } else if (mode == "every") {
     want(1, 1);
     spec.mode = TriggerMode::kEveryK;
-    spec.n = std::stoull(parts[1]);
+    spec.n = parse_number<std::uint64_t>(parts[1], text);
   } else if (mode == "prob") {
     want(1, 2);
     spec.mode = TriggerMode::kProb;
-    spec.p = std::stod(parts[1]);
-    if (parts.size() == 3) spec.seed = std::stoull(parts[2]);
+    spec.p = parse_number<double>(parts[1], text);
+    if (spec.p < 0 || spec.p > 1) {
+      throw std::invalid_argument("failpoint P must be in [0, 1]: " + text);
+    }
+    if (parts.size() == 3) {
+      spec.seed = parse_number<std::uint64_t>(parts[2], text);
+    }
   } else {
     throw std::invalid_argument("unknown failpoint trigger: " + text);
   }
@@ -135,6 +169,8 @@ void Registry::configure(const std::string& name, const TriggerSpec& spec) {
 }
 
 void Registry::configure_from_spec(const std::string& spec) {
+  // Parse every entry before arming any, so a bad entry arms nothing.
+  std::vector<std::pair<std::string, TriggerSpec>> parsed;
   std::stringstream ss(spec);
   for (std::string entry; std::getline(ss, entry, ',');) {
     if (entry.empty()) continue;
@@ -142,8 +178,10 @@ void Registry::configure_from_spec(const std::string& spec) {
     if (eq == std::string::npos || eq == 0) {
       throw std::invalid_argument("bad failpoint entry: " + entry);
     }
-    configure(entry.substr(0, eq), TriggerSpec::parse(entry.substr(eq + 1)));
+    parsed.emplace_back(entry.substr(0, eq),
+                        TriggerSpec::parse(entry.substr(eq + 1)));
   }
+  for (const auto& [name, trigger] : parsed) configure(name, trigger);
 }
 
 void Registry::disarm_all() {

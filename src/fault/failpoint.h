@@ -1,4 +1,4 @@
-// Deterministic, compile-time-gated fault injection (failpoints).
+// Deterministic fault injection (failpoints), gated only at run time.
 //
 // The pipeline's value is concurrency — sampler workers, pinned slicing,
 // overlapped H2D/compute, serving threads — which means its failure modes are
@@ -11,8 +11,8 @@
 //   * each failpoint is armed with a trigger: fire on the Nth hit, every Kth
 //     hit, with seeded probability p per hit, always, or never;
 //   * sites consult their failpoint via SALIENT_FAILPOINT("name") — a bool
-//     expression that compiles to `false` (and the site's fault branch to
-//     dead code) unless the build sets SALIENT_FAILPOINTS=ON;
+//     expression that costs one relaxed atomic load while the failpoint is
+//     unarmed, so every build carries every site;
 //   * schedules are configured programmatically (tests) or from the
 //     SALIENT_FAILPOINT_SPEC environment variable, e.g.
 //       SALIENT_FAILPOINT_SPEC="dma.h2d=every:5,prep.worker.die=nth:3"
@@ -40,15 +40,6 @@
 #include "util/thread_annotations.h"
 
 namespace salient::fault {
-
-/// True when the build compiled the failpoint sites in (CMake option
-/// SALIENT_FAILPOINTS=ON). When false, SALIENT_FAILPOINT(...) is the literal
-/// `false` and every injected-fault branch is dead code.
-#if defined(SALIENT_FAILPOINTS_ENABLED)
-inline constexpr bool kFailpointsCompiledIn = true;
-#else
-inline constexpr bool kFailpointsCompiledIn = false;
-#endif
 
 enum class TriggerMode : std::uint8_t {
   kOff,     ///< never fires (the unarmed default)
@@ -85,7 +76,9 @@ struct TriggerSpec {
   }
 
   /// Parse "off" | "always" | "nth:N" | "every:K" | "prob:P[:SEED]", each
-  /// optionally suffixed "@ARG". Throws std::invalid_argument on bad input.
+  /// optionally suffixed "@ARG". N, K and SEED are unsigned integers (N, K
+  /// >= 1), P is in [0, 1] and ARG is finite and >= 0; each field must be
+  /// a number and nothing else. Throws std::invalid_argument on bad input.
   static TriggerSpec parse(const std::string& text);
 };
 
@@ -145,7 +138,7 @@ class Registry {
   void configure(const std::string& name, const TriggerSpec& spec);
 
   /// Arm from a comma-separated spec string: "a=nth:3,b=prob:0.1:42@500".
-  /// Throws std::invalid_argument on malformed input.
+  /// Throws std::invalid_argument on malformed input, having armed nothing.
   void configure_from_spec(const std::string& spec);
 
   /// Disarm every registered failpoint (test isolation helper).
@@ -179,11 +172,8 @@ void maybe_wedge(Failpoint& fp);
 // ---------------------------------------------------------------------------
 // Site macros. SALIENT_FAILPOINT(name) is a bool expression; the name must be
 // a string literal (each site resolves its failpoint once into a function-
-// local static). With SALIENT_FAILPOINTS=OFF it is the literal `false`, so
-// the compiler removes the fault branch entirely.
+// local static). An unarmed site costs one relaxed load (should_fire()).
 // ---------------------------------------------------------------------------
-#if defined(SALIENT_FAILPOINTS_ENABLED)
-
 #define SALIENT_FAILPOINT(name)                                      \
   ([]() -> bool {                                                    \
     static ::salient::fault::Failpoint& _salient_fp =                \
@@ -200,9 +190,3 @@ void maybe_wedge(Failpoint& fp);
     ::salient::fault::maybe_wedge(_salient_fp);                      \
   }())
 
-#else  // failpoints compiled out
-
-#define SALIENT_FAILPOINT(name) (false)
-#define SALIENT_FAILPOINT_WEDGE(name) ((void)0)
-
-#endif  // SALIENT_FAILPOINTS_ENABLED

@@ -16,11 +16,9 @@
 //   * appends are lock-free: the owning thread is the only writer, events
 //     land in fixed-size chunks published through atomic pointers, and a
 //     release-store of the count makes them visible to the exporter;
-//   * recording is gated twice: at compile time (the SALIENT_TRACE_* macros
-//     expand to nothing unless the build defines SALIENT_TRACING_ENABLED,
-//     i.e. the CMake option SALIENT_TRACING is ON) and at run time (a
-//     relaxed atomic flag, off by default, so an instrumented binary pays
-//     one predictable branch per span when tracing is not requested).
+//   * recording is gated only at run time: a relaxed atomic flag, off by
+//     default, so an instrumented binary pays one predictable branch per
+//     span when tracing is not requested.
 //
 // Usage:
 //   obs::TraceRecorder::global().enable(true);
@@ -43,15 +41,6 @@
 #include "util/thread_annotations.h"
 
 namespace salient::obs {
-
-/// True when the build compiled the tracing macros in (CMake option
-/// SALIENT_TRACING=ON). When false every SALIENT_TRACE_* macro is a no-op
-/// and instrumented code carries zero tracing overhead.
-#if defined(SALIENT_TRACING_ENABLED)
-inline constexpr bool kTracingCompiledIn = true;
-#else
-inline constexpr bool kTracingCompiledIn = false;
-#endif
 
 /// Chrome trace_event phases this recorder emits.
 enum class EventKind : std::uint8_t {
@@ -196,13 +185,12 @@ class TraceRecorder {
 };
 
 /// RAII guard recording one kComplete span from construction to destruction.
-/// Near-zero cost when the recorder is disabled (one relaxed atomic load);
-/// compiles to an empty object when SALIENT_TRACING is OFF. A null `name`
-/// deactivates the span (callers with optional labels pass them through).
+/// Near-zero cost when the recorder is disabled (one relaxed atomic load).
+/// A null `name` deactivates the span (callers with optional labels pass
+/// them through).
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, std::int64_t arg = kNoArg) {
-#if defined(SALIENT_TRACING_ENABLED)
     TraceRecorder& r = TraceRecorder::global();
     if (name != nullptr && r.enabled()) {
       name_ = name;
@@ -210,13 +198,8 @@ class TraceSpan {
       start_us_ = r.now_us();
       active_ = true;
     }
-#else
-    (void)name;
-    (void)arg;
-#endif
   }
   ~TraceSpan() {
-#if defined(SALIENT_TRACING_ENABLED)
     if (active_) {
       TraceRecorder& r = TraceRecorder::global();
       TraceEvent e;
@@ -227,7 +210,6 @@ class TraceSpan {
       e.kind = EventKind::kComplete;
       r.record(e);
     }
-#endif
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -258,12 +240,9 @@ bool write_chrome_trace_file(const std::string& path);
 }  // namespace salient::obs
 
 // ---------------------------------------------------------------------------
-// Tracing macros. These are the only interface hot paths should use: with
-// SALIENT_TRACING=OFF they expand to nothing, so instrumented code compiles
-// to exactly what it was before instrumentation.
+// Tracing macros. These are the only interface hot paths should use; each
+// checks the recorder's run-time flag before doing any work.
 // ---------------------------------------------------------------------------
-#if defined(SALIENT_TRACING_ENABLED)
-
 #define SALIENT_TRACE_CONCAT_IMPL(a, b) a##b
 #define SALIENT_TRACE_CONCAT(a, b) SALIENT_TRACE_CONCAT_IMPL(a, b)
 
@@ -287,14 +266,3 @@ bool write_chrome_trace_file(const std::string& path);
 #define SALIENT_TRACE_THREAD_NAME(name) \
   ::salient::obs::TraceRecorder::global().set_thread_name(name)
 
-#else  // tracing compiled out: every macro is a statement-shaped no-op
-
-#define SALIENT_TRACE_SCOPE(name) ((void)0)
-#define SALIENT_TRACE_SCOPE_ARG(name, arg) ((void)0)
-#define SALIENT_TRACE_INSTANT(name) ((void)0)
-#define SALIENT_TRACE_ASYNC_BEGIN(name, id) ((void)0)
-#define SALIENT_TRACE_ASYNC_END(name, id) ((void)0)
-#define SALIENT_TRACE_COUNTER(name, value) ((void)0)
-#define SALIENT_TRACE_THREAD_NAME(name) ((void)0)
-
-#endif  // SALIENT_TRACING_ENABLED

@@ -27,24 +27,18 @@ class BlockingQueue {
   /// failpoint `queue.<site>.push.wedge` and consumers
   /// `queue.<site>.pop.wedge`, each a scripted stall (the failpoint's @arg is
   /// the stall in microseconds) injected *outside* the queue lock — the
-  /// thread wedges, the queue stays live. Dead code unless the build sets
-  /// SALIENT_FAILPOINTS=ON.
+  /// thread wedges, the queue stays live. An unnamed queue skips the check
+  /// entirely; a named one pays one relaxed load while unarmed.
   void set_fault_site(const std::string& site) {
-#if defined(SALIENT_FAILPOINTS_ENABLED)
     auto& reg = fault::Registry::global();
     push_wedge_ = &reg.failpoint("queue." + site + ".push.wedge");
     pop_wedge_ = &reg.failpoint("queue." + site + ".pop.wedge");
-#else
-    (void)site;
-#endif
   }
 
   /// Block until space is available, then enqueue. Returns false if the
   /// queue was closed.
   bool push(T value) {
-#if defined(SALIENT_FAILPOINTS_ENABLED)
     if (push_wedge_) fault::maybe_wedge(*push_wedge_);
-#endif
     check::UniqueLock lock(mu_);
     while (!closed_ && items_.size() >= capacity_) cv_not_full_.wait(lock);
     if (closed_) return false;
@@ -69,9 +63,7 @@ class BlockingQueue {
   /// the queue is closed *and* drained. A zero (or negative) timeout polls.
   template <class Rep, class Period>
   std::optional<T> try_pop_for(std::chrono::duration<Rep, Period> timeout) {
-#if defined(SALIENT_FAILPOINTS_ENABLED)
     if (pop_wedge_) fault::maybe_wedge(*pop_wedge_);
-#endif
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     check::UniqueLock lock(mu_);
     while (!closed_ && items_.empty()) {
@@ -90,9 +82,7 @@ class BlockingQueue {
   /// Block until an item is available; returns nullopt once the queue is
   /// closed *and* drained.
   std::optional<T> pop() {
-#if defined(SALIENT_FAILPOINTS_ENABLED)
     if (pop_wedge_) fault::maybe_wedge(*pop_wedge_);
-#endif
     check::UniqueLock lock(mu_);
     while (!closed_ && items_.empty()) cv_not_empty_.wait(lock);
     if (items_.empty()) return std::nullopt;
@@ -129,10 +119,8 @@ class BlockingQueue {
   std::deque<T> items_ GUARDED_BY(mu_);
   std::size_t capacity_;  // unguarded: immutable after construction
   bool closed_ GUARDED_BY(mu_) = false;
-#if defined(SALIENT_FAILPOINTS_ENABLED)
   fault::Failpoint* push_wedge_ = nullptr;  // unguarded: set_fault_site once
   fault::Failpoint* pop_wedge_ = nullptr;   // unguarded: set_fault_site once
-#endif
 };
 
 }  // namespace salient

@@ -56,23 +56,17 @@ class MpmcQueue {
   /// `mpmc.<site>.pop_empty` (spurious "queue empty"). These model transient
   /// contention/latency the lock-free fast path can exhibit under load;
   /// hardened callers must retry rather than drop work (the property
-  /// tests/test_chaos.cpp verifies for the loader). Dead code unless the
-  /// build sets SALIENT_FAILPOINTS=ON.
+  /// tests/test_chaos.cpp verifies for the loader). An unnamed queue skips
+  /// the check entirely; a named one pays one relaxed load while unarmed.
   void set_fault_site(const std::string& site) {
-#if defined(SALIENT_FAILPOINTS_ENABLED)
     auto& reg = fault::Registry::global();
     push_full_ = &reg.failpoint("mpmc." + site + ".push_full");
     pop_empty_ = &reg.failpoint("mpmc." + site + ".pop_empty");
-#else
-    (void)site;
-#endif
   }
 
   /// Attempt to enqueue; returns false when the queue is full.
   bool try_push(T value) {
-#if defined(SALIENT_FAILPOINTS_ENABLED)
     if (push_full_ && push_full_->should_fire()) return false;
-#endif
     Slot* slot;
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
@@ -98,9 +92,7 @@ class MpmcQueue {
 
   /// Attempt to dequeue; returns false when the queue is empty.
   bool try_pop(T& out) {
-#if defined(SALIENT_FAILPOINTS_ENABLED)
     if (pop_empty_ && pop_empty_->should_fire()) return false;
-#endif
     Slot* slot;
     std::size_t pos = head_.load(std::memory_order_relaxed);
     for (;;) {
@@ -142,10 +134,8 @@ class MpmcQueue {
   alignas(64) check::atomic<std::size_t> tail_;
   alignas(64) std::unique_ptr<Slot[]> slots_;
   std::size_t mask_;
-#if defined(SALIENT_FAILPOINTS_ENABLED)
   fault::Failpoint* push_full_ = nullptr;
   fault::Failpoint* pop_empty_ = nullptr;
-#endif
 };
 
 }  // namespace salient

@@ -14,12 +14,9 @@
 //     request (kOk / kShed / kFailed / kInvalid), never wedges, and drains
 //     cleanly at shutdown.
 //
-// Tests that need injection sites compiled in skip themselves unless the
-// build sets SALIENT_FAILPOINTS=ON (fault::kFailpointsCompiledIn); the
-// framework, pool-backpressure, stream-containment, and poison-request
-// tests run in every build. Reproduce a failure by re-arming the schedule
-// printed in the test body — triggers depend only on per-failpoint hit
-// counters and seeds, never on wall time (see docs/TESTING.md).
+// Reproduce a failure by re-arming the schedule printed in the test body —
+// triggers depend only on per-failpoint hit counters and seeds, never on
+// wall time (see docs/TESTING.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,7 +133,7 @@ void expect_exactly_once(const EpochResult& r, std::int64_t num_batches) {
   }
 }
 
-// --- failpoint framework (runs in every build) ------------------------------
+// --- failpoint framework ----------------------------------------------------
 
 TEST(Failpoints, TriggersAreDeterministicAndCounted) {
   ScopedDisarm guard;
@@ -185,6 +182,20 @@ TEST(Failpoints, SpecStringConfiguresSchedules) {
   EXPECT_THROW(TriggerSpec::parse("every:0"), std::invalid_argument);
   EXPECT_THROW(Registry::global().configure_from_spec("=every:2"),
                std::invalid_argument);
+  // Every field is a whole number in range: no trailing text, no sign on a
+  // count, no overflow, P in [0, 1], and a finite, non-negative @ARG.
+  for (const char* bad :
+       {"nth:3x", "every:5junk", "nth:-1", "every:-1", "nth:3:", "prob:2",
+        "prob:-0.5", "prob:nan", "prob:1e999", "prob:0.5:-3",
+        "nth:99999999999999999999999", "always@inf", "always@-1",
+        "always@", "nth:"}) {
+    EXPECT_THROW(TriggerSpec::parse(bad), std::invalid_argument) << bad;
+  }
+  // A bad entry leaves the earlier, well-formed ones unarmed.
+  EXPECT_THROW(Registry::global().configure_from_spec("test.d=every:2,"
+                                                      "test.e=nth:3x"),
+               std::invalid_argument);
+  EXPECT_FALSE(Registry::global().failpoint("test.d").armed());
 
   const TriggerSpec s = TriggerSpec::parse("prob:0.25:17@1500");
   EXPECT_EQ(s.mode, fault::TriggerMode::kProb);
@@ -193,7 +204,7 @@ TEST(Failpoints, SpecStringConfiguresSchedules) {
   EXPECT_DOUBLE_EQ(s.arg, 1500.0);
 }
 
-// --- hardening that needs no injected faults (runs in every build) ----------
+// --- hardening that needs no injected faults --------------------------------
 
 TEST(ChaosStream, WorkItemExceptionDoesNotKillTheStream) {
   obs::Counter& errors = obs::Registry::global().counter("stream.work_errors");
@@ -276,13 +287,7 @@ TEST(ChaosServe, PoisonRequestIsRejectedAtSubmit) {
   EXPECT_GE(server.stats().invalid, 2);
 }
 
-// --- injected-fault chaos (needs SALIENT_FAILPOINTS=ON) ---------------------
-
-#define SKIP_WITHOUT_FAILPOINTS()                                       \
-  if (!fault::kFailpointsCompiledIn) {                                  \
-    GTEST_SKIP() << "build with -DSALIENT_FAILPOINTS=ON to run chaos "  \
-                    "injection";                                        \
-  }
+// --- injected-fault chaos ---------------------------------------------------
 
 /// The fixed training-chaos schedule: worker deaths, lock-free queue
 /// misses, blocking-queue wedges, and staging exhaustion, all seeded.
@@ -299,7 +304,6 @@ void arm_training_schedule() {
 }
 
 TEST(ChaosTraining, FixedScheduleIsLosslessAndBitwiseDeterministic) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(60000), "training chaos (fixed)");
   const LoaderConfig cfg = chaos_loader_config();
@@ -329,7 +333,6 @@ TEST(ChaosTraining, FixedScheduleIsLosslessAndBitwiseDeterministic) {
 }
 
 TEST(ChaosTraining, RandomizedSchedulesNeverLoseOrDuplicateBatches) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "training chaos (random)");
   const LoaderConfig cfg = chaos_loader_config();
@@ -352,7 +355,6 @@ TEST(ChaosTraining, RandomizedSchedulesNeverLoseOrDuplicateBatches) {
 }
 
 TEST(ChaosPresample, AbortedWarmupDegradesToDegreeDeterministically) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(60000), "presample abort chaos");
   const Dataset& ds = chaos_dataset();
@@ -389,7 +391,6 @@ TEST(ChaosPresample, AbortedWarmupDegradesToDegreeDeterministically) {
 }
 
 TEST(ChaosDma, TransientTransferErrorsRetryLosslessly) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   auto& reg = obs::Registry::global();
   const auto retries_before = reg.counter("dma.retries").value();
@@ -413,7 +414,6 @@ TEST(ChaosDma, TransientTransferErrorsRetryLosslessly) {
 }
 
 TEST(ChaosDma, ExhaustedRetriesRaiseDmaError) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   DmaConfig dc;
   dc.max_retries = 2;
@@ -427,7 +427,6 @@ TEST(ChaosDma, ExhaustedRetriesRaiseDmaError) {
 }
 
 TEST(ChaosServe, RandomFaultsDegradeGracefullyAndDrainOnShutdown) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "serving chaos");
 
@@ -537,7 +536,6 @@ dist::ClusterEpochResult run_cluster_epoch_at_depth(int depth) {
 }
 
 TEST(ChaosCluster, DroppedMessagesRetryWithoutChangingResults) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "cluster drop chaos");
 
@@ -561,7 +559,6 @@ TEST(ChaosCluster, DroppedMessagesRetryWithoutChangingResults) {
 }
 
 TEST(ChaosCluster, UndeliverableMessageRaisesNetError) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "cluster drop exhaustion");
   Registry::global().configure("dist.net.drop", TriggerSpec::always());
@@ -569,7 +566,6 @@ TEST(ChaosCluster, UndeliverableMessageRaisesNetError) {
 }
 
 TEST(ChaosCluster, DegradedLinksSlowTheEpochButChangeNothingElse) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "cluster degrade chaos");
 
@@ -586,7 +582,6 @@ TEST(ChaosCluster, DegradedLinksSlowTheEpochButChangeNothingElse) {
 }
 
 TEST(ChaosCluster, FailedNodeStepRetriesLosslessly) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "cluster node-fail chaos");
 
@@ -602,7 +597,6 @@ TEST(ChaosCluster, FailedNodeStepRetriesLosslessly) {
 }
 
 TEST(ChaosCluster, PermanentNodeFailureRaisesClusterError) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "cluster node loss");
   Registry::global().configure("dist.node.fail", TriggerSpec::always());
@@ -610,7 +604,6 @@ TEST(ChaosCluster, PermanentNodeFailureRaisesClusterError) {
 }
 
 TEST(ChaosCluster, WedgedNodeIsFlaggedAsStraggler) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "cluster straggler chaos");
 
@@ -632,7 +625,6 @@ TEST(ChaosCluster, WedgedNodeIsFlaggedAsStraggler) {
 }
 
 TEST(ChaosCluster, RetriedPostedFetchDeliversIntactPayload) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "async drop retry");
 
@@ -664,7 +656,6 @@ TEST(ChaosCluster, RetriedPostedFetchDeliversIntactPayload) {
 }
 
 TEST(ChaosCluster, PipelinedTrainerDrainsInFlightFetchesOnFailure) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "pipeline drain on failure");
 
@@ -683,7 +674,6 @@ TEST(ChaosCluster, PipelinedTrainerDrainsInFlightFetchesOnFailure) {
 }
 
 TEST(ChaosCluster, MidOverlapFaultsAreBitwiseInvariantAcrossProtocols) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "mid-overlap determinism");
 
@@ -711,7 +701,6 @@ TEST(ChaosCluster, MidOverlapFaultsAreBitwiseInvariantAcrossProtocols) {
 }
 
 TEST(ChaosCluster, DegradedLinkMidOverlapStallsThePipelineDeterministically) {
-  SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "mid-overlap degrade");
 
