@@ -11,11 +11,11 @@ namespace salient {
 
 namespace {
 
-/// Iterative post-order DFS over the node graph rooted at `root`.
-/// The returned order has every node after all of its consumers were
-/// processed when iterated in reverse (i.e., it is a valid topological order
-/// for the reverse sweep when traversed back-to-front... we build post-order
-/// and then walk it from the back).
+/// Iterative post-order DFS over the nodes reachable from `root` through
+/// inputs that require grad. Post-order lists every node after all of the
+/// nodes it consumes (its producers), so walking the result back-to-front
+/// visits each node only after every consumer of its output has run: a
+/// valid order for the reverse sweep.
 std::vector<Node*> topo_order(Node* root) {
   std::vector<Node*> order;
   std::unordered_set<Node*> visited;
@@ -81,6 +81,9 @@ void run_backward(const Variable& root, Tensor grad_root) {
       throw std::runtime_error(std::string("backward of ") + node->name() +
                                " returned wrong number of gradients");
     }
+    // Gradients move into their producer's slot without a copy. A closure
+    // may hand the same tensor to several inputs (Add returns g twice), so
+    // a slot is never updated in place: fan-in sums out of place.
     for (std::size_t i = 0; i < ins.size(); ++i) {
       const Variable& in = ins[i];
       if (!in.requires_grad()) continue;
@@ -98,9 +101,9 @@ void run_backward(const Variable& root, Tensor grad_root) {
       } else {
         auto [slot, inserted] = node_grad.try_emplace(producer);
         if (inserted) {
-          slot->second = gins[i].clone();
+          slot->second = std::move(gins[i]);
         } else {
-          ops::axpy_(slot->second, gins[i], 1.0);
+          slot->second = ops::add(slot->second, gins[i]);
         }
       }
     }

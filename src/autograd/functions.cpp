@@ -46,29 +46,50 @@ Tensor slice_cols(const Tensor& x, std::int64_t col, std::int64_t w) {
   return out;
 }
 
+/// Which of a linear layer's inputs {x, weight, bias} need a gradient,
+/// read when the op is built (a Variable's requires_grad never changes).
+struct LinearGrads {
+  bool x, weight, bias;
+};
+
+/// {dx, dweight, dbias} of y = x W^T + b given the pre-activation gradient
+/// gp; entries whose input needs no gradient stay undefined.
+std::vector<Tensor> linear_backward(const Tensor& gp, const Tensor& tx,
+                                    const Tensor& tw, const LinearGrads& need) {
+  std::vector<Tensor> grads(3);
+  if (need.x) grads[0] = ops::matmul(gp, tw, false, false);
+  if (need.weight) grads[1] = ops::matmul(gp, tx, true, false);
+  if (need.bias) grads[2] = ops::sum_rows(gp);
+  return grads;
+}
+
 }  // namespace
 
 Variable add(const Variable& a, const Variable& b) {
+  // The engine never mutates a routed gradient, so both inputs share g.
   return make_op_result("Add", ops::add(a.data(), b.data()), {a, b},
                         [](const Tensor& g) {
-                          return std::vector<Tensor>{g.clone(), g.clone()};
+                          return std::vector<Tensor>{g, g};
                         });
 }
 
 Variable sub(const Variable& a, const Variable& b) {
+  const bool need_b = b.requires_grad();
   return make_op_result("Sub", ops::sub(a.data(), b.data()), {a, b},
-                        [](const Tensor& g) {
-                          return std::vector<Tensor>{g.clone(),
-                                                     ops::scale(g, -1.0)};
+                        [need_b](const Tensor& g) {
+                          return std::vector<Tensor>{
+                              g, need_b ? ops::scale(g, -1.0) : Tensor()};
                         });
 }
 
 Variable mul(const Variable& a, const Variable& b) {
   Tensor ta = a.data(), tb = b.data();
+  const bool need_a = a.requires_grad(), need_b = b.requires_grad();
   return make_op_result("Mul", ops::mul(ta, tb), {a, b},
-                        [ta, tb](const Tensor& g) {
-                          return std::vector<Tensor>{ops::mul(g, tb),
-                                                     ops::mul(g, ta)};
+                        [ta, tb, need_a, need_b](const Tensor& g) {
+                          return std::vector<Tensor>{
+                              need_a ? ops::mul(g, tb) : Tensor(),
+                              need_b ? ops::mul(g, ta) : Tensor()};
                         });
 }
 
@@ -82,15 +103,21 @@ Variable scale(const Variable& a, double alpha) {
 Variable matmul(const Variable& a, const Variable& b, bool trans_a,
                 bool trans_b) {
   Tensor ta = a.data(), tb = b.data();
+  const bool need_a = a.requires_grad(), need_b = b.requires_grad();
   return make_op_result(
       "MatMul", ops::matmul(ta, tb, trans_a, trans_b), {a, b},
-      [ta, tb, trans_a, trans_b](const Tensor& g) {
+      [ta, tb, trans_a, trans_b, need_a, need_b](const Tensor& g) {
         // With A' = op(A), B' = op(B): gA' = g B'^T and gB' = A'^T g;
         // transpose back when the forward op transposed.
-        Tensor ga = trans_a ? ops::matmul(tb, g, trans_b, true)
-                            : ops::matmul(g, tb, false, !trans_b);
-        Tensor gb = trans_b ? ops::matmul(g, ta, true, trans_a)
-                            : ops::matmul(ta, g, !trans_a, false);
+        Tensor ga, gb;
+        if (need_a) {
+          ga = trans_a ? ops::matmul(tb, g, trans_b, true)
+                       : ops::matmul(g, tb, false, !trans_b);
+        }
+        if (need_b) {
+          gb = trans_b ? ops::matmul(g, ta, true, trans_a)
+                       : ops::matmul(ta, g, !trans_a, false);
+        }
         return std::vector<Tensor>{std::move(ga), std::move(gb)};
       });
 }
@@ -99,22 +126,19 @@ Variable linear(const Variable& x, const Variable& weight,
                 const Variable& bias) {
   Tensor tx = x.data(), tw = weight.data();
   Tensor y = ops::matmul(tx, tw, false, true);
-  if (bias.defined()) {
-    y = ops::add_row_broadcast(y, bias.data());
-    return make_op_result(
-        "Linear", std::move(y), {x, weight, bias},
-        [tx, tw](const Tensor& g) {
-          return std::vector<Tensor>{ops::matmul(g, tw, false, false),
-                                     ops::matmul(g, tx, true, false),
-                                     ops::sum_rows(g)};
-        });
-  }
-  return make_op_result(
-      "Linear", std::move(y), {x, weight},
-      [tx, tw](const Tensor& g) {
-        return std::vector<Tensor>{ops::matmul(g, tw, false, false),
-                                   ops::matmul(g, tx, true, false)};
-      });
+  const bool has_bias = bias.defined();
+  if (has_bias) y = ops::add_row_broadcast(y, bias.data());
+  std::vector<Variable> inputs{x, weight};
+  if (has_bias) inputs.push_back(bias);
+  const LinearGrads need{x.requires_grad(), weight.requires_grad(),
+                         bias.requires_grad()};
+  return make_op_result("Linear", std::move(y), std::move(inputs),
+                        [tx, tw, need, has_bias](const Tensor& g) {
+                          std::vector<Tensor> grads =
+                              linear_backward(g, tx, tw, need);
+                          if (!has_bias) grads.pop_back();
+                          return grads;
+                        });
 }
 
 Variable linear_act(const Variable& x, const Variable& weight,
@@ -130,15 +154,14 @@ Variable linear_act(const Variable& x, const Variable& weight,
       tx, tw, bias.data(),
       drop ? ops::Epilogue::kBiasReluDropout : ops::Epilogue::kBiasRelu,
       drop ? dropout_p : 0.0, seed, &mask);
+  const LinearGrads need{x.requires_grad(), weight.requires_grad(),
+                         bias.requires_grad()};
   return make_op_result(
       "LinearAct", std::move(y), {x, weight, bias},
-      [tx, tw, mask](const Tensor& g) {
+      [tx, tw, mask, need](const Tensor& g) {
         // mask is d y/d pre (relu gate x dropout scale), so one Hadamard
         // recovers the pre-activation gradient; the rest is Linear backward.
-        Tensor gp = ops::mul(g, mask);
-        return std::vector<Tensor>{ops::matmul(gp, tw, false, false),
-                                   ops::matmul(gp, tx, true, false),
-                                   ops::sum_rows(gp)};
+        return linear_backward(ops::mul(g, mask), tx, tw, need);
       });
 }
 
@@ -228,19 +251,20 @@ Variable concat_cols(const std::vector<Variable>& xs) {
   std::vector<Tensor> ts;
   ts.reserve(xs.size());
   std::vector<std::int64_t> widths;
+  std::vector<bool> need;
   for (const auto& v : xs) {
     ts.push_back(v.data());
     widths.push_back(v.data().size(1));
+    need.push_back(v.requires_grad());
   }
   return make_op_result(
       "ConcatCols", ops::concat_cols(ts), xs,
-      [widths](const Tensor& g) {
-        std::vector<Tensor> grads;
-        grads.reserve(widths.size());
+      [widths, need](const Tensor& g) {
+        std::vector<Tensor> grads(widths.size());
         std::int64_t col = 0;
-        for (const auto w : widths) {
-          grads.push_back(slice_cols(g, col, w));
-          col += w;
+        for (std::size_t i = 0; i < widths.size(); ++i) {
+          if (need[i]) grads[i] = slice_cols(g, col, widths[i]);
+          col += widths[i];
         }
         return grads;
       });
@@ -369,30 +393,48 @@ Tensor bn_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   return y;
 }
 
+/// Which of batch_norm's inputs {x, gamma, beta} need a gradient.
+struct BnGrads {
+  bool x, gamma, beta;
+};
+
 template <typename T>
 std::vector<Tensor> bn_backward(const Tensor& g, const Tensor& gamma,
-                                const BnCtx<T>& ctx, bool training) {
+                                const BnCtx<T>& ctx, bool training,
+                                const BnGrads& need) {
   const std::int64_t m = g.size(0), n = g.size(1);
   const T* pg = g.data<T>();
   const T* pgam = gamma.data<T>();
   const T* ph = ctx.x_hat.template data<T>();
   const T* pis = ctx.inv_std.template data<T>();
 
-  Tensor dgamma({n}, g.dtype()), dbeta({n}, g.dtype());
-  T* pdg = dgamma.data<T>();
-  T* pdb = dbeta.data<T>();
+  // Every column sum accumulates in double; dgamma and dbeta round to T
+  // once at the end (summing tens of thousands of rows in T loses digits).
+  std::vector<double> sum_g(n, 0.0), sum_g_h(n, 0.0);
   std::vector<double> sum_dh(n, 0.0), sum_dh_h(n, 0.0);
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       const double gv = double(pg[i * n + j]);
       const double hv = double(ph[i * n + j]);
-      pdb[j] += static_cast<T>(gv);
-      pdg[j] += static_cast<T>(gv * hv);
+      sum_g[j] += gv;
+      sum_g_h[j] += gv * hv;
       const double dh = gv * double(pgam[j]);
       sum_dh[j] += dh;
       sum_dh_h[j] += dh * hv;
     }
   }
+  std::vector<Tensor> grads(3);
+  if (need.gamma) {
+    grads[1] = Tensor({n}, g.dtype());
+    T* pdg = grads[1].data<T>();
+    for (std::int64_t j = 0; j < n; ++j) pdg[j] = static_cast<T>(sum_g_h[j]);
+  }
+  if (need.beta) {
+    grads[2] = Tensor({n}, g.dtype());
+    T* pdb = grads[2].data<T>();
+    for (std::int64_t j = 0; j < n; ++j) pdb[j] = static_cast<T>(sum_g[j]);
+  }
+  if (!need.x) return grads;
   Tensor dx(g.shape(), g.dtype());
   T* pdx = dx.data<T>();
   if (training) {
@@ -413,7 +455,8 @@ std::vector<Tensor> bn_backward(const Tensor& g, const Tensor& gamma,
       }
     }
   }
-  return {std::move(dx), std::move(dgamma), std::move(dbeta)};
+  grads[0] = std::move(dx);
+  return grads;
 }
 
 }  // namespace
@@ -423,6 +466,8 @@ Variable batch_norm(const Variable& x, const Variable& gamma,
                     Tensor& running_var, bool training, double momentum,
                     double eps) {
   if (x.data().dim() != 2) throw std::runtime_error("batch_norm: need [M,N]");
+  const BnGrads need{x.requires_grad(), gamma.requires_grad(),
+                     beta.requires_grad()};
   if (x.data().dtype() == DType::kF32) {
     auto ctx = std::make_shared<BnCtx<float>>();
     Tensor y = bn_forward<float>(x.data(), gamma.data(), beta.data(),
@@ -431,8 +476,8 @@ Variable batch_norm(const Variable& x, const Variable& gamma,
     Tensor tgamma = gamma.data();
     return make_op_result(
         "BatchNorm", std::move(y), {x, gamma, beta},
-        [ctx, tgamma, training](const Tensor& g) {
-          return bn_backward<float>(g, tgamma, *ctx, training);
+        [ctx, tgamma, training, need](const Tensor& g) {
+          return bn_backward<float>(g, tgamma, *ctx, training, need);
         });
   }
   auto ctx = std::make_shared<BnCtx<double>>();
@@ -442,8 +487,8 @@ Variable batch_norm(const Variable& x, const Variable& gamma,
   Tensor tgamma = gamma.data();
   return make_op_result(
       "BatchNorm", std::move(y), {x, gamma, beta},
-      [ctx, tgamma, training](const Tensor& g) {
-        return bn_backward<double>(g, tgamma, *ctx, training);
+      [ctx, tgamma, training, need](const Tensor& g) {
+        return bn_backward<double>(g, tgamma, *ctx, training, need);
       });
 }
 

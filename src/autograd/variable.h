@@ -23,8 +23,19 @@ class Node {
   virtual ~Node() = default;
 
   /// Gradients of the node's output w.r.t. each input, given the gradient of
-  /// some scalar loss w.r.t. the output. Entries for inputs that do not
-  /// require grad may be returned as undefined Tensors.
+  /// some scalar loss w.r.t. the output.
+  ///
+  /// Contract:
+  ///   * Skip inputs that need no gradient: record each input's
+  ///     requires_grad() when the op is built (it never changes afterwards)
+  ///     and return an undefined Tensor for those that did not require grad,
+  ///     without computing it.
+  ///   * Never mutate `grad_out`. The returned tensors may alias `grad_out`
+  ///     or each other (Add returns `grad_out` for both inputs): the engine
+  ///     moves them into its gradient slots without copying, sums fan-in out
+  ///     of place, and never mutates a tensor a closure returned. Only a
+  ///     leaf's first gradient is copied, since the leaf later accumulates
+  ///     into it in place.
   virtual std::vector<Tensor> backward(const Tensor& grad_out) = 0;
 
   /// Diagnostic name ("MatMul", "ReLU", ...).

@@ -7,11 +7,6 @@
 
 namespace salient::nn {
 
-namespace {
-
-/// Per-head attention scores: h is [N, H*F], att is [H, F];
-/// out[i,h] = sum_j h[i, h*F+j] * att[h,j]. A small custom autograd op
-/// (a plain matmul cannot express the per-head block structure).
 Variable per_head_score(const Variable& h, const Variable& att,
                         std::int64_t heads) {
   const Tensor th = h.data();
@@ -37,26 +32,32 @@ Variable per_head_score(const Variable& h, const Variable& att,
     return out;
   };
   Tensor out = th.dtype() == DType::kF32 ? forward(0.0f) : forward(0.0);
+  const bool need_h = h.requires_grad(), need_att = att.requires_grad();
   return make_op_result(
       "PerHeadScore", std::move(out), {h, att},
-      [th, tatt, heads, n, f](const Tensor& g) {
+      [th, tatt, heads, n, f, need_h, need_att](const Tensor& g) {
         auto backward = [&](auto zero) {
           using T = decltype(zero);
-          Tensor dh(th.shape(), th.dtype());
-          Tensor datt(tatt.shape(), tatt.dtype());
+          Tensor dh, datt;
+          if (need_h) dh = Tensor(th.shape(), th.dtype());
+          if (need_att) datt = Tensor(tatt.shape(), tatt.dtype());
           const T* ph = th.data<T>();
           const T* pa = tatt.data<T>();
           const T* pg = g.data<T>();
-          T* pdh = dh.data<T>();
-          T* pda = datt.data<T>();
+          T* pdh = need_h ? dh.data<T>() : nullptr;
+          T* pda = need_att ? datt.data<T>() : nullptr;
           for (std::int64_t i = 0; i < n; ++i) {
             for (std::int64_t hd = 0; hd < heads; ++hd) {
               const double gv = double(pg[i * heads + hd]);
               for (std::int64_t j = 0; j < f; ++j) {
-                pdh[i * heads * f + hd * f + j] =
-                    static_cast<T>(gv * double(pa[hd * f + j]));
-                pda[hd * f + j] += static_cast<T>(
-                    gv * double(ph[i * heads * f + hd * f + j]));
+                if (need_h) {
+                  pdh[i * heads * f + hd * f + j] =
+                      static_cast<T>(gv * double(pa[hd * f + j]));
+                }
+                if (need_att) {
+                  pda[hd * f + j] += static_cast<T>(
+                      gv * double(ph[i * heads * f + hd * f + j]));
+                }
               }
             }
           }
@@ -65,6 +66,8 @@ Variable per_head_score(const Variable& h, const Variable& att,
         return g.dtype() == DType::kF32 ? backward(0.0f) : backward(0.0);
       });
 }
+
+namespace {
 
 /// Saved forward state for the custom backward. Per destination row the edge
 /// order is [sampled edges..., self edge]; alpha/dmask are flat arrays of
@@ -142,9 +145,14 @@ Tensor gat_forward(const Tensor& h, const Tensor& s_src, const Tensor& s_dst,
   return out;
 }
 
+/// Which of the aggregate's inputs {h, s_src, s_dst} need a gradient.
+struct GatGrads {
+  bool h, s_src, s_dst;
+};
+
 template <typename T>
 std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
-                                 std::int64_t num_src) {
+                                 std::int64_t num_src, const GatGrads& need) {
   const auto& indptr = *ctx.indptr;
   const auto& indices = *ctx.indices;
   const std::int64_t d_count = ctx.num_dst;
@@ -154,12 +162,15 @@ std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
   const T* pg = g.data<T>();
   const auto num_edges = static_cast<std::int64_t>(indices.size());
 
-  Tensor dh({num_src, heads * f}, g.dtype());
-  Tensor ds_src({num_src, heads}, g.dtype());
-  Tensor ds_dst({d_count, heads}, g.dtype());
-  T* pdh = dh.data<T>();
-  T* pdss = ds_src.data<T>();
-  T* pdsd = ds_dst.data<T>();
+  // The score gradients share the softmax backward; dh needs only alpha.
+  const bool need_scores = need.s_src || need.s_dst;
+  Tensor dh, ds_src, ds_dst;
+  if (need.h) dh = Tensor({num_src, heads * f}, g.dtype());
+  if (need.s_src) ds_src = Tensor({num_src, heads}, g.dtype());
+  if (need.s_dst) ds_dst = Tensor({d_count, heads}, g.dtype());
+  T* pdh = need.h ? dh.data<T>() : nullptr;
+  T* pdss = need.s_src ? ds_src.data<T>() : nullptr;
+  T* pdsd = need.s_dst ? ds_dst.data<T>() : nullptr;
 
   std::vector<double> dalpha;
   for (std::int64_t v = 0; v < d_count; ++v) {
@@ -176,16 +187,22 @@ std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
         const std::size_t slot = static_cast<std::size_t>(
             ((k < m - 1) ? (b + k) : (num_edges + v)) * heads + hd);
         const double a = double(ctx.alpha[slot]);
+        if (need.h) {
+          T* dhrow = pdh + u * heads * f + hd * f;
+          for (std::int64_t j = 0; j < f; ++j) {
+            dhrow[j] += static_cast<T>(a * double(grow[j]));
+          }
+        }
+        if (!need_scores) continue;
         const T* hrow = ph + u * heads * f + hd * f;
         double da = 0;
         for (std::int64_t j = 0; j < f; ++j) {
           da += double(grow[j]) * double(hrow[j]);
-          pdh[u * heads * f + hd * f + j] +=
-              static_cast<T>(a * double(grow[j]));
         }
         dalpha[static_cast<std::size_t>(k)] = da;
         dot += a * da;
       }
+      if (!need_scores) continue;
       for (std::int64_t k = 0; k < m; ++k) {
         const std::int64_t u =
             (k < m - 1) ? indices[static_cast<std::size_t>(b + k)] : v;
@@ -194,8 +211,8 @@ std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
         const double a = double(ctx.alpha[slot]);
         const double dz = a * (dalpha[static_cast<std::size_t>(k)] - dot) *
                           double(ctx.dmask[slot]);
-        pdss[u * heads + hd] += static_cast<T>(dz);
-        pdsd[v * heads + hd] += static_cast<T>(dz);
+        if (need.s_src) pdss[u * heads + hd] += static_cast<T>(dz);
+        if (need.s_dst) pdsd[v * heads + hd] += static_cast<T>(dz);
       }
     }
   }
@@ -224,9 +241,11 @@ Variable gat_edge_softmax_aggregate(
     ctx->h = h.data();
     Tensor out =
         gat_forward<T>(h.data(), s_src.data(), s_dst.data(), *ctx, slope);
+    const GatGrads need{h.requires_grad(), s_src.requires_grad(),
+                        s_dst.requires_grad()};
     return make_op_result("GatAggregate", std::move(out), {h, s_src, s_dst},
-                          [ctx, num_src](const Tensor& g) {
-                            return gat_backward<T>(g, *ctx, num_src);
+                          [ctx, num_src, need](const Tensor& g) {
+                            return gat_backward<T>(g, *ctx, num_src, need);
                           });
   };
   return h.data().dtype() == DType::kF32 ? run(0.0f) : run(0.0);

@@ -18,6 +18,12 @@
 
 namespace salient::nn {
 
+/// Custom autograd op for per-head attention scores: h is [N, H*F], att is
+/// [H, F]; out[i, hd] = sum_j h[i, hd*F + j] * att[hd, j] -> [N, H]. (A
+/// plain matmul cannot express the per-head block structure.)
+Variable per_head_score(const Variable& h, const Variable& att,
+                        std::int64_t heads);
+
 /// Custom autograd op: h is [S, H*F] (H heads of width F side by side),
 /// s_src [S, H] / s_dst [D, H] are per-head score contributions. Computes
 /// the per-head attention-weighted aggregation -> [D, H*F] with a

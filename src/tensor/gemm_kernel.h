@@ -27,8 +27,9 @@
 // Each output element has exactly one accumulator walked in ascending-k
 // order, so results are bitwise deterministic regardless of how row panels
 // are distributed across threads — the property tests/test_kernels.cpp
-// locks in. Lanes are independent accumulators, so the vector and fallback
-// forms also agree bitwise with each other.
+// locks in. (Split-K, below, keeps one such accumulator per fixed K slice
+// and sums the slices in order.) Lanes are independent accumulators, so the
+// vector and fallback forms also agree bitwise with each other.
 #pragma once
 
 #include <algorithm>
@@ -64,6 +65,33 @@ inline constexpr std::int64_t kGemmLanes =
 template <typename T>
 inline constexpr std::int64_t kGemmNR = 2 * kGemmLanes<T>;
 
+/// Inner-dimension block: one packed B column panel holds kGemmKC * NR
+/// elements (32 KiB for f32 and f64 alike), small enough to stay
+/// L1-resident while a thread sweeps its row panels.
+inline constexpr std::int64_t kGemmKC = 256;
+
+/// Split-K: K-slice length, the largest output (M*N elements) it applies
+/// to, and the fewest slices worth splitting into. All three are fixed, so
+/// whether and how a product splits depends on its shape alone, never on
+/// the pool size.
+inline constexpr std::int64_t kGemmSplitKSlice = 4 * kGemmKC;
+inline constexpr std::int64_t kGemmSplitKMaxOutput = 256 * 256;
+inline constexpr std::int64_t kGemmSplitKMinSlices = 4;
+
+/// Number of K slices the optimized GEMM computes an [M,K]x[K,N] product
+/// in; 1 means no split. Splitting pays off when the output is small (too
+/// few MR-row panels to occupy the pool, and a fork/join per k block for
+/// little work each) and K is long: the weight gradient g^T x over a whole
+/// MFG level. The output cap bounds the partial sums to 1/8 of the size of
+/// the operands.
+constexpr std::int64_t gemm_split_k_slices(std::int64_t m, std::int64_t k,
+                                           std::int64_t n) {
+  const std::int64_t slices = (k + kGemmSplitKSlice - 1) / kGemmSplitKSlice;
+  return m * n <= kGemmSplitKMaxOutput && slices >= kGemmSplitKMinSlices
+             ? slices
+             : 1;
+}
+
 /// Number of NR-wide column panels covering n columns.
 template <typename T>
 inline std::int64_t gemm_num_col_panels(std::int64_t n) {
@@ -79,6 +107,22 @@ void gemm_pack_a(const T* a, std::int64_t lda, T* packed, std::int64_t i0,
   for (std::int64_t p = 0; p < kc; ++p) {
     T* dst = packed + p * kGemmMR;
     for (std::int64_t r = 0; r < h; ++r) dst[r] = a[(i0 + r) * lda + k0 + p];
+    for (std::int64_t r = h; r < kGemmMR; ++r) dst[r] = T(0);
+  }
+}
+
+/// gemm_pack_a for an A operand stored transposed: `at` is row-major
+/// [K, lda] holding A^T (the layout of g in the weight gradient g^T x), so
+/// each k step copies h contiguous values. The packed panel is identical to
+/// gemm_pack_a's over a materialized transpose, with no transposed copy.
+template <typename T>
+void gemm_pack_a_trans(const T* at, std::int64_t lda, T* packed,
+                       std::int64_t i0, std::int64_t h, std::int64_t k0,
+                       std::int64_t kc) {
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const T* src = at + (k0 + p) * lda + i0;
+    T* dst = packed + p * kGemmMR;
+    for (std::int64_t r = 0; r < h; ++r) dst[r] = src[r];
     for (std::int64_t r = h; r < kGemmMR; ++r) dst[r] = T(0);
   }
 }

@@ -9,13 +9,17 @@
 //   * optimized (default) — a register-blocked microkernel over packed
 //     panels (tensor/gemm_kernel.h), parallelized across MR-row panels of C
 //     on the kernel pool. Packing keeps every hot loop unit-stride for all
-//     trans_a/trans_b combinations, and the branch-free k loop lets the
-//     compiler emit FMA vector code.
+//     trans_a/trans_b combinations (a transposed A packs straight from its
+//     stored layout), and the branch-free k loop lets the compiler emit FMA
+//     vector code. Small-output, long-K products split K into fixed slices
+//     instead (detail::gemm_split_k_slices).
 //
-// Determinism: each C element is accumulated by one thread in ascending-k
-// order, so the optimized result is bitwise identical across runs and pool
-// sizes. It differs from the reference only by floating-point association
-// (register tiling), within a tight ULP bound (tests/test_kernels.cpp).
+// Determinism: each C element is accumulated in an order fixed by the shape
+// alone — ascending k by one thread, or per fixed K slice and then across
+// slices in slice order — so the optimized result is bitwise identical
+// across runs and pool sizes. It differs from the reference only by
+// floating-point association (register tiling, K slices), within a tight
+// ULP bound (tests/test_kernels.cpp).
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -67,16 +71,150 @@ void gemm_ref(const T* a, const T* b, T* c, std::int64_t m, std::int64_t k,
   }
 }
 
-/// Inner-dimension block size for the optimized path: bounds one packed B
-/// column panel to kKC * NR elements (32 KiB for f32 and f64 alike), small
-/// enough to stay L1-resident while a thread sweeps its row panels.
-constexpr std::int64_t kBlockKC = 256;
-
 template <typename T>
 void transpose_into(const T* src, T* out, std::int64_t r, std::int64_t c);
 
+/// Grow-only per-thread buffer. new[] (not std::vector) so growth skips
+/// value-initialization: every user overwrites what it reads.
+template <typename T>
+struct GemmScratch {
+  std::unique_ptr<T[]> buf;
+  std::size_t cap = 0;
+  T* get(std::size_t want) {
+    if (cap < want) {
+      buf.reset(new T[want]);
+      cap = want;
+    }
+    return buf.get();
+  }
+};
+
+/// The calling thread's packing scratch for the optimized GEMMs. Reused
+/// because a fresh allocation costs a page-fault storm on every call (the
+/// packing loops touch each page exactly once), which at MFG sizes is a
+/// measurable slice of the whole GEMM. No GEMM calls another, so one buffer
+/// per thread is safe even when GEMMs run from pool workers.
+template <typename T>
+T* gemm_scratch(std::size_t want) {
+  thread_local GemmScratch<T> scratch;
+  return scratch.get(want);
+}
+
+/// Packed-panel sizes of one k block: all NR-wide B column panels, then all
+/// MR-row A panels.
+template <typename T>
+std::size_t gemm_scratch_elems(std::int64_t m, std::int64_t kc,
+                               std::int64_t n) {
+  using namespace detail;
+  return static_cast<std::size_t>(gemm_num_col_panels<T>(n) * kc * kGemmNR<T> +
+                                  (m + kGemmMR - 1) / kGemmMR * kc * kGemmMR);
+}
+
+/// Pack B rows [kk, kk+kc), columns [j0, j0+NR) of row-major B[K,N] into
+/// [kc][NR] order, zero-padded at the right edge.
+template <typename T>
+void gemm_pack_b(const T* b, std::int64_t n, T* dst, std::int64_t kk,
+                 std::int64_t kc, std::int64_t j0) {
+  constexpr std::int64_t kNR = detail::kGemmNR<T>;
+  const std::int64_t w = std::min(kNR, n - j0);
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const T* src = b + (kk + p) * n + j0;
+    for (std::int64_t cix = 0; cix < w; ++cix) dst[cix] = src[cix];
+    for (std::int64_t cix = w; cix < kNR; ++cix) dst[cix] = T(0);
+    dst += kNR;
+  }
+}
+
+/// Pack MR-row panel `ip` of A, k block [kk, kk+kc): A is row-major [M,K],
+/// or stored transposed as [K,M] when `a_trans`.
+template <typename T>
+void gemm_pack_a_panel(const T* a, bool a_trans, std::int64_t m,
+                       std::int64_t k, T* dst, std::int64_t ip,
+                       std::int64_t kk, std::int64_t kc) {
+  using namespace detail;
+  const std::int64_t i0 = ip * kGemmMR;
+  const std::int64_t h = std::min(kGemmMR, m - i0);
+  if (a_trans) {
+    gemm_pack_a_trans(a, m, dst, i0, h, kk, kc);
+  } else {
+    gemm_pack_a(a, k, dst, i0, h, kk, kc);
+  }
+}
+
+/// C[M,N] = A[:, k0:k1] * B[k0:k1, :], computed serially by the calling
+/// thread with gemm_opt's packing, loop order and ascending-k accumulation
+/// (the first k block stores, later ones add). One split-K slice.
+template <typename T>
+void gemm_opt_serial(const T* a, bool a_trans, const T* b, T* c,
+                     std::int64_t m, std::int64_t k, std::int64_t n,
+                     std::int64_t k0, std::int64_t k1) {
+  using namespace detail;
+  constexpr std::int64_t kNR = kGemmNR<T>;
+  const std::int64_t panels = gemm_num_col_panels<T>(n);
+  const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
+  const std::int64_t kc_max = std::min(kGemmKC, k1 - k0);
+  T* const b_packed = gemm_scratch<T>(gemm_scratch_elems<T>(m, kc_max, n));
+  T* const a_packed = b_packed + panels * kc_max * kNR;
+  for (std::int64_t kk = k0; kk < k1; kk += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, k1 - kk);
+    for (std::int64_t jp = 0; jp < panels; ++jp) {
+      gemm_pack_b(b, n, b_packed + jp * kc * kNR, kk, kc, jp * kNR);
+    }
+    for (std::int64_t ip = 0; ip < row_panels; ++ip) {
+      gemm_pack_a_panel(a, a_trans, m, k, a_packed + ip * kc * kGemmMR, ip,
+                        kk, kc);
+    }
+    for (std::int64_t jp = 0; jp < panels; ++jp) {
+      const std::int64_t j0 = jp * kNR;
+      const T* bp = b_packed + jp * kc * kNR;
+      for (std::int64_t ip = 0; ip < row_panels; ++ip) {
+        const std::int64_t i0 = ip * kGemmMR;
+        gemm_microkernel(a_packed + ip * kc * kGemmMR, bp, kc, c, n, i0,
+                         std::min(kGemmMR, m - i0), j0,
+                         std::min(kNR, n - j0), kk != k0);
+      }
+    }
+  }
+}
+
+/// Split-K: slice s covers the K range [s, s+1) * kGemmSplitKSlice and
+/// runs serially in one task into its own partial (slice 0 into C itself);
+/// the partials are then added to C in slice order. A slice's partial and
+/// the order of the final sum both depend only on the shape, never on which
+/// thread ran which slice, so the result is bitwise identical across runs
+/// and pool sizes.
+template <typename T>
+void gemm_opt_split_k(const T* a, bool a_trans, const T* b, T* c,
+                      std::int64_t m, std::int64_t k, std::int64_t n,
+                      std::int64_t slices) {
+  using namespace detail;
+  const std::int64_t mn = m * n;
+  // Its own buffer: the caller runs a chunk of slices itself, and those
+  // use the caller's packing scratch.
+  thread_local GemmScratch<T> partial_scratch;
+  T* const partials =
+      partial_scratch.get(static_cast<std::size_t>((slices - 1) * mn));
+  parallel_for_n(slices, mn * k, [&](std::int64_t sb, std::int64_t se) {
+    for (std::int64_t s = sb; s < se; ++s) {
+      const std::int64_t k0 = s * kGemmSplitKSlice;
+      gemm_opt_serial(a, a_trans, b, s == 0 ? c : partials + (s - 1) * mn, m,
+                      k, n, k0, std::min(k, k0 + kGemmSplitKSlice));
+    }
+  });
+  parallel_for_n(
+      m, mn * slices,
+      [&](std::int64_t ib, std::int64_t ie) {
+        for (std::int64_t s = 1; s < slices; ++s) {
+          const T* part = partials + (s - 1) * mn;
+          for (std::int64_t e = ib * n; e < ie * n; ++e) c[e] += part[e];
+        }
+      },
+      GrainClass::kMemoryBound);
+}
+
 /// Optimized: packed panels + register-tiled microkernel, parallel over
-/// MR-row panels of C.
+/// MR-row panels of C. A is row-major [M,K], or stored transposed as [K,M]
+/// when `a_trans`: its panels then pack straight from that layout.
 ///
 /// Loop order is GotoBLAS-style: the k dimension is processed in kKC-sized
 /// blocks; within a block each thread walks column panels in the outer loop
@@ -84,61 +222,40 @@ void transpose_into(const T* src, T* out, std::int64_t r, std::int64_t c);
 /// multiplying stays hot in L1 while the (smaller) A panels stream through.
 /// The first cut of this kernel used the opposite order — every row panel
 /// swept all of packed B — and was L2-bandwidth-bound at ~20% of FMA peak.
+/// Small-output, long-K shapes run split-K instead
+/// (detail::gemm_split_k_slices).
 ///
-/// Determinism: C is partitioned into MR-row panels, each owned by exactly
-/// one thread, and every element accumulates in ascending-k order (k blocks
-/// in order, ascending k within a block), so the result is bitwise identical
-/// across runs and pool sizes.
+/// Determinism: outside split-K, C is partitioned into MR-row panels, each
+/// owned by exactly one thread, and every element accumulates in ascending-k
+/// order (k blocks in order, ascending k within a block), so the result is
+/// bitwise identical across runs and pool sizes.
 template <typename T>
-void gemm_opt(const T* a, const T* b, T* c, std::int64_t m, std::int64_t k,
-              std::int64_t n) {
+void gemm_opt(const T* a, bool a_trans, const T* b, T* c, std::int64_t m,
+              std::int64_t k, std::int64_t n) {
   using namespace detail;
+  const std::int64_t slices = gemm_split_k_slices(m, k, n);
+  if (slices > 1) {
+    gemm_opt_split_k(a, a_trans, b, c, m, k, n, slices);
+    return;
+  }
   constexpr std::int64_t kNR = kGemmNR<T>;
   const std::int64_t panels = gemm_num_col_panels<T>(n);
   const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t kc_max = std::min(kBlockKC, k);
-  // Reused per-thread scratch: a fresh allocation here costs a page-fault
-  // storm on every call (the packing loops touch each page exactly once),
-  // which at MFG sizes is a measurable slice of the whole GEMM. new[] (not
-  // std::vector) so growth skips value-initialization — packing overwrites
-  // every element. matmul never calls itself, so one buffer per thread is
-  // safe even when GEMMs run from pool workers.
-  struct Scratch {
-    std::unique_ptr<T[]> buf;
-    std::size_t cap = 0;
-    T* get(std::size_t want) {
-      if (cap < want) {
-        buf.reset(new T[want]);
-        cap = want;
-      }
-      return buf.get();
-    }
-  };
-  thread_local Scratch scratch;
-  const std::size_t b_elems = static_cast<std::size_t>(panels * kc_max * kNR);
-  T* const b_packed = scratch.get(
-      b_elems + static_cast<std::size_t>(row_panels * kc_max * kGemmMR));
-  T* const a_packed = b_packed + b_elems;
+  const std::int64_t kc_max = std::min(kGemmKC, k);
+  T* const b_packed = gemm_scratch<T>(gemm_scratch_elems<T>(m, kc_max, n));
+  T* const a_packed = b_packed + panels * kc_max * kNR;
 
-  for (std::int64_t kk = 0; kk < k; kk += kBlockKC) {
-    const std::int64_t kc = std::min(kBlockKC, k - kk);
+  for (std::int64_t kk = 0; kk < k; kk += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, k - kk);
     parallel_for_n(panels, kc * n, [&](std::int64_t pb, std::int64_t pe) {
       for (std::int64_t jp = pb; jp < pe; ++jp) {
-        const std::int64_t j0 = jp * kNR;
-        const std::int64_t w = std::min(kNR, n - j0);
-        T* dst = b_packed + jp * kc * kNR;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const T* src = b + (kk + p) * n + j0;
-          for (std::int64_t cix = 0; cix < w; ++cix) dst[cix] = src[cix];
-          for (std::int64_t cix = w; cix < kNR; ++cix) dst[cix] = T(0);
-          dst += kNR;
-        }
+        gemm_pack_b(b, n, b_packed + jp * kc * kNR, kk, kc, jp * kNR);
       }
     });
     parallel_for_n(row_panels, m * kc, [&](std::int64_t pb, std::int64_t pe) {
       for (std::int64_t ip = pb; ip < pe; ++ip) {
-        gemm_pack_a(a, k, a_packed + ip * kc * kGemmMR, ip * kGemmMR,
-                    std::min(kGemmMR, m - ip * kGemmMR), kk, kc);
+        gemm_pack_a_panel(a, a_trans, m, k, a_packed + ip * kc * kGemmMR, ip,
+                          kk, kc);
       }
     });
     parallel_for_n(row_panels, m * n * kc,
@@ -173,44 +290,22 @@ void gemm_opt_epi(const T* a, const T* b, T* c, std::int64_t m, std::int64_t k,
   constexpr std::int64_t kNR = kGemmNR<T>;
   const std::int64_t panels = gemm_num_col_panels<T>(n);
   const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t kc_max = std::min(kBlockKC, k);
-  struct Scratch {
-    std::unique_ptr<T[]> buf;
-    std::size_t cap = 0;
-    T* get(std::size_t want) {
-      if (cap < want) {
-        buf.reset(new T[want]);
-        cap = want;
-      }
-      return buf.get();
-    }
-  };
-  thread_local Scratch scratch;
-  const std::size_t b_elems = static_cast<std::size_t>(panels * kc_max * kNR);
-  T* const b_packed = scratch.get(
-      b_elems + static_cast<std::size_t>(row_panels * kc_max * kGemmMR));
-  T* const a_packed = b_packed + b_elems;
+  const std::int64_t kc_max = std::min(kGemmKC, k);
+  T* const b_packed = gemm_scratch<T>(gemm_scratch_elems<T>(m, kc_max, n));
+  T* const a_packed = b_packed + panels * kc_max * kNR;
 
-  for (std::int64_t kk = 0; kk < k; kk += kBlockKC) {
-    const std::int64_t kc = std::min(kBlockKC, k - kk);
+  for (std::int64_t kk = 0; kk < k; kk += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, k - kk);
     const bool last_block = kk + kc == k;
     parallel_for_n(panels, kc * n, [&](std::int64_t pb, std::int64_t pe) {
       for (std::int64_t jp = pb; jp < pe; ++jp) {
-        const std::int64_t j0 = jp * kNR;
-        const std::int64_t w = std::min(kNR, n - j0);
-        T* dst = b_packed + jp * kc * kNR;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const T* src = b + (kk + p) * n + j0;
-          for (std::int64_t cix = 0; cix < w; ++cix) dst[cix] = src[cix];
-          for (std::int64_t cix = w; cix < kNR; ++cix) dst[cix] = T(0);
-          dst += kNR;
-        }
+        gemm_pack_b(b, n, b_packed + jp * kc * kNR, kk, kc, jp * kNR);
       }
     });
     parallel_for_n(row_panels, m * kc, [&](std::int64_t pb, std::int64_t pe) {
       for (std::int64_t ip = pb; ip < pe; ++ip) {
-        gemm_pack_a(a, k, a_packed + ip * kc * kGemmMR, ip * kGemmMR,
-                    std::min(kGemmMR, m - ip * kGemmMR), kk, kc);
+        gemm_pack_a_panel(a, false, m, k, a_packed + ip * kc * kGemmMR, ip,
+                          kk, kc);
       }
     });
     parallel_for_n(row_panels, m * n * kc,
@@ -256,26 +351,12 @@ void gemm_opt_loaded(const ARowFn& arow, const BRowFn& brow, float* c,
   constexpr std::int64_t kNR = kGemmNR<T>;
   const std::int64_t panels = gemm_num_col_panels<T>(n);
   const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t kc_max = std::min(kBlockKC, k);
-  struct Scratch {
-    std::unique_ptr<T[]> buf;
-    std::size_t cap = 0;
-    T* get(std::size_t want) {
-      if (cap < want) {
-        buf.reset(new T[want]);
-        cap = want;
-      }
-      return buf.get();
-    }
-  };
-  thread_local Scratch scratch;
-  const std::size_t b_elems = static_cast<std::size_t>(panels * kc_max * kNR);
-  T* const b_packed = scratch.get(
-      b_elems + static_cast<std::size_t>(row_panels * kc_max * kGemmMR));
-  T* const a_packed = b_packed + b_elems;
+  const std::int64_t kc_max = std::min(kGemmKC, k);
+  T* const b_packed = gemm_scratch<T>(gemm_scratch_elems<T>(m, kc_max, n));
+  T* const a_packed = b_packed + panels * kc_max * kNR;
 
-  for (std::int64_t kk = 0; kk < k; kk += kBlockKC) {
-    const std::int64_t kc = std::min(kBlockKC, k - kk);
+  for (std::int64_t kk = 0; kk < k; kk += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, k - kk);
     parallel_for_n(panels, kc * n, [&](std::int64_t pb, std::int64_t pe) {
       for (std::int64_t jp = pb; jp < pe; ++jp) {
         const std::int64_t j0 = jp * kNR;
@@ -295,7 +376,7 @@ void gemm_opt_loaded(const ARowFn& arow, const BRowFn& brow, float* c,
         // Decompress each source row's kc-long segment contiguously (bulk
         // converters want unit stride), then transpose the tiny tile into
         // the [kc][MR] panel layout.
-        T stage[kGemmMR][kBlockKC];
+        T stage[kGemmMR][kGemmKC];
         for (std::int64_t r = 0; r < h; ++r) arow(i0 + r, kk, kc, stage[r]);
         T* packed = a_packed + ip * kc * kGemmMR;
         for (std::int64_t p = 0; p < kc; ++p) {
@@ -468,10 +549,13 @@ Tensor matmul_typed(const Tensor& a, const Tensor& b, bool trans_a,
   }
   Tensor out({m, n}, a.dtype());
 
+  const bool ref = kernel_kind() == KernelKind::kRef;
   const T* pa = a.data<T>();
   const T* pb = b.data<T>();
   std::vector<T> a_packed, b_packed;
-  if (trans_a) {
+  // The optimized kernel packs A's panels straight from the transposed
+  // layout; only the reference needs A^T materialized.
+  if (trans_a && ref) {
     a_packed.resize(static_cast<std::size_t>(m) * k);
     transpose_into(pa, a_packed.data(), a.size(0), a.size(1));
     pa = a_packed.data();
@@ -481,10 +565,10 @@ Tensor matmul_typed(const Tensor& a, const Tensor& b, bool trans_a,
     transpose_into(pb, b_packed.data(), b.size(0), b.size(1));
     pb = b_packed.data();
   }
-  if (kernel_kind() == KernelKind::kRef) {
+  if (ref) {
     gemm_ref(pa, pb, out.data<T>(), m, k, n);
   } else {
-    gemm_opt(pa, pb, out.data<T>(), m, k, n);
+    gemm_opt(pa, trans_a, pb, out.data<T>(), m, k, n);
   }
   return out;
 }

@@ -16,6 +16,7 @@
 
 #include "autograd/functions.h"
 #include "autograd/gradcheck.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/kernel_config.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"
@@ -293,6 +294,96 @@ TEST(Gemm, OptDeterministicAcrossPoolSizes) {
     guard.use(ops::KernelKind::kOpt, &pool);
     EXPECT_TRUE(bitwise_equal(base, ops::matmul(a, b)))
         << "GEMM result depends on pool size (" << threads << " threads)";
+  }
+}
+
+// Split-K shape: K well above the split threshold and not a multiple of the
+// slice length; M and N not multiples of MR or of NR (for f32 or f64).
+constexpr std::int64_t kSplitM = 67;
+constexpr std::int64_t kSplitN = 37;
+constexpr std::int64_t kSplitK = 5 * ops::detail::kGemmSplitKSlice + 333;
+static_assert(ops::detail::gemm_split_k_slices(kSplitM, kSplitK, kSplitN) > 1);
+static_assert(kSplitK % ops::detail::kGemmSplitKSlice != 0);
+static_assert(kSplitM % ops::detail::kGemmMR != 0);
+
+/// Row-major transpose of a 2-D tensor.
+Tensor transposed(const Tensor& t) {
+  const Tensor d = t.to(DType::kF64);
+  Tensor out({t.size(1), t.size(0)}, DType::kF64);
+  for (std::int64_t i = 0; i < t.size(0); ++i) {
+    for (std::int64_t j = 0; j < t.size(1); ++j) {
+      out.at<double>(j, i) = d.at<double>(i, j);
+    }
+  }
+  return out.to(t.dtype());
+}
+
+TEST(Gemm, SplitKRefVsOptWithinKScaledBound) {
+  KernelGuard guard;
+  ThreadPool pool(4);
+  for (const bool ta : {false, true}) {
+    for (const DType dt : {DType::kF32, DType::kF64}) {
+      const Tensor a = Tensor::uniform(
+          ta ? std::vector<std::int64_t>{kSplitK, kSplitM}
+             : std::vector<std::int64_t>{kSplitM, kSplitK},
+          91 + ta, -1, 1, dt);
+      const Tensor b = Tensor::uniform({kSplitK, kSplitN}, 93, -1, 1, dt);
+      guard.use(ops::KernelKind::kRef);
+      const Tensor ref = ops::matmul(a, b, ta, false);
+      guard.use(ops::KernelKind::kOpt, &pool);
+      const Tensor opt = ops::matmul(a, b, ta, false);
+      // The reference sums the K products in ascending order; split-K sums
+      // each slice, then the slices. Either order's rounding error is
+      // bounded by about K * u * sum_k |a_k b_k| (u = unit roundoff), so a
+      // bound fixed at K=96 would be too tight here: the tolerance grants a
+      // fixed 2 ulps per summed term instead. A lost or doubled term errs by
+      // ~0.25 on average, far above it.
+      const double ulp = dt == DType::kF32 ? 0x1p-23 : 0x1p-52;
+      const double tol = 2.0 * static_cast<double>(kSplitK) * ulp;
+      EXPECT_TRUE(allclose(ref, opt, tol, tol))
+          << "ta=" << ta << " dtype=" << dtype_name(dt);
+    }
+  }
+}
+
+TEST(Gemm, TransposedAPacksLikeMaterializedTranspose) {
+  // The optimized trans_a path packs A's panels straight from the stored
+  // [K, M] layout; it must pack exactly what a materialized A^T would, with
+  // and without split-K.
+  KernelGuard guard;
+  ThreadPool pool(4);
+  guard.use(ops::KernelKind::kOpt, &pool);
+  for (const std::int64_t k : {std::int64_t{300}, kSplitK}) {
+    for (const DType dt : {DType::kF32, DType::kF64}) {
+      const Tensor at = Tensor::uniform({k, kSplitM}, 94, -1, 1, dt);
+      const Tensor b = Tensor::uniform({k, kSplitN}, 93, -1, 1, dt);
+      EXPECT_TRUE(bitwise_equal(ops::matmul(at, b, true, false),
+                                ops::matmul(transposed(at), b)))
+          << "K=" << k << " dtype=" << dtype_name(dt);
+    }
+  }
+}
+
+TEST(Gemm, SplitKDeterministicAcrossPoolSizes) {
+  KernelGuard guard;
+  for (const bool ta : {false, true}) {
+    for (const DType dt : {DType::kF32, DType::kF64}) {
+      const Tensor a = Tensor::uniform(
+          ta ? std::vector<std::int64_t>{kSplitK, kSplitM}
+             : std::vector<std::int64_t>{kSplitM, kSplitK},
+          95 + ta, -1, 1, dt);
+      const Tensor b = Tensor::uniform({kSplitK, kSplitN}, 97, -1, 1, dt);
+      ThreadPool p1(1);
+      guard.use(ops::KernelKind::kOpt, &p1);
+      const Tensor base = ops::matmul(a, b, ta, false);
+      for (const std::size_t threads : {2u, 8u}) {
+        ThreadPool pool(threads);
+        guard.use(ops::KernelKind::kOpt, &pool);
+        EXPECT_TRUE(bitwise_equal(base, ops::matmul(a, b, ta, false)))
+            << "split-K result depends on pool size (" << threads
+            << " threads, ta=" << ta << ", dtype=" << dtype_name(dt) << ")";
+      }
+    }
   }
 }
 

@@ -119,6 +119,13 @@ std::vector<Entry> build_entries() {
       Tensor::uniform({128, 128}, 6, -1, 1, DType::kF64);
   es.push_back({"gemm_f64_256x128x128",
                 [] { sink(ops::matmul(ga3, gb3)); }});
+  // Weight gradient g^T x of a first-layer Linear over a whole MFG level
+  // (g [22462, 64], x [22462, 128]): the small-output, long-K shape the
+  // optimized path computes split-K, packing g^T straight from g.
+  static const Tensor wg = Tensor::uniform({22462, 64}, 19, -1, 1);
+  static const Tensor wx = Tensor::uniform({22462, 128}, 20, -1, 1);
+  es.push_back({"gemm_f32_wgrad_64x22462x128",
+                [] { sink(ops::matmul(wg, wx, true, false)); }});
 
   // SpMM family on an ogbn-like MFG level: ~8k destination rows with
   // fanout-15 sampled in-degrees over ~24k sources, 128 features.
