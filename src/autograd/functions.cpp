@@ -46,20 +46,16 @@ Tensor slice_cols(const Tensor& x, std::int64_t col, std::int64_t w) {
   return out;
 }
 
-/// Which of a linear layer's inputs {x, weight, bias} need a gradient,
-/// read when the op is built (a Variable's requires_grad never changes).
-struct LinearGrads {
-  bool x, weight, bias;
-};
-
-/// {dx, dweight, dbias} of y = x W^T + b given the pre-activation gradient
-/// gp; entries whose input needs no gradient stay undefined.
+/// {dx, dweight[, dbias]} of y = x W^T (+ b) given the pre-activation
+/// gradient gp, one entry per input in `need`; entries whose input needs no
+/// gradient stay undefined.
 std::vector<Tensor> linear_backward(const Tensor& gp, const Tensor& tx,
-                                    const Tensor& tw, const LinearGrads& need) {
-  std::vector<Tensor> grads(3);
-  if (need.x) grads[0] = ops::matmul(gp, tw, false, false);
-  if (need.weight) grads[1] = ops::matmul(gp, tx, true, false);
-  if (need.bias) grads[2] = ops::sum_rows(gp);
+                                    const Tensor& tw,
+                                    const std::vector<bool>& need) {
+  std::vector<Tensor> grads(need.size());
+  if (need[0]) grads[0] = ops::matmul(gp, tw, false, false);
+  if (need[1]) grads[1] = ops::matmul(gp, tx, true, false);
+  if (need.size() > 2 && need[2]) grads[2] = ops::sum_rows(gp);
   return grads;
 }
 
@@ -68,34 +64,33 @@ std::vector<Tensor> linear_backward(const Tensor& gp, const Tensor& tx,
 Variable add(const Variable& a, const Variable& b) {
   // The engine never mutates a routed gradient, so both inputs share g.
   return make_op_result("Add", ops::add(a.data(), b.data()), {a, b},
-                        [](const Tensor& g) {
+                        [](const Tensor& g, const std::vector<bool>&) {
                           return std::vector<Tensor>{g, g};
                         });
 }
 
 Variable sub(const Variable& a, const Variable& b) {
-  const bool need_b = b.requires_grad();
   return make_op_result("Sub", ops::sub(a.data(), b.data()), {a, b},
-                        [need_b](const Tensor& g) {
+                        [](const Tensor& g, const std::vector<bool>& need) {
                           return std::vector<Tensor>{
-                              g, need_b ? ops::scale(g, -1.0) : Tensor()};
+                              g, need[1] ? ops::scale(g, -1.0) : Tensor()};
                         });
 }
 
 Variable mul(const Variable& a, const Variable& b) {
   Tensor ta = a.data(), tb = b.data();
-  const bool need_a = a.requires_grad(), need_b = b.requires_grad();
   return make_op_result("Mul", ops::mul(ta, tb), {a, b},
-                        [ta, tb, need_a, need_b](const Tensor& g) {
+                        [ta, tb](const Tensor& g,
+                                 const std::vector<bool>& need) {
                           return std::vector<Tensor>{
-                              need_a ? ops::mul(g, tb) : Tensor(),
-                              need_b ? ops::mul(g, ta) : Tensor()};
+                              need[0] ? ops::mul(g, tb) : Tensor(),
+                              need[1] ? ops::mul(g, ta) : Tensor()};
                         });
 }
 
 Variable scale(const Variable& a, double alpha) {
   return make_op_result("Scale", ops::scale(a.data(), alpha), {a},
-                        [alpha](const Tensor& g) {
+                        [alpha](const Tensor& g, const std::vector<bool>&) {
                           return std::vector<Tensor>{ops::scale(g, alpha)};
                         });
 }
@@ -103,18 +98,18 @@ Variable scale(const Variable& a, double alpha) {
 Variable matmul(const Variable& a, const Variable& b, bool trans_a,
                 bool trans_b) {
   Tensor ta = a.data(), tb = b.data();
-  const bool need_a = a.requires_grad(), need_b = b.requires_grad();
   return make_op_result(
       "MatMul", ops::matmul(ta, tb, trans_a, trans_b), {a, b},
-      [ta, tb, trans_a, trans_b, need_a, need_b](const Tensor& g) {
+      [ta, tb, trans_a, trans_b](const Tensor& g,
+                                 const std::vector<bool>& need) {
         // With A' = op(A), B' = op(B): gA' = g B'^T and gB' = A'^T g;
         // transpose back when the forward op transposed.
         Tensor ga, gb;
-        if (need_a) {
+        if (need[0]) {
           ga = trans_a ? ops::matmul(tb, g, trans_b, true)
                        : ops::matmul(g, tb, false, !trans_b);
         }
-        if (need_b) {
+        if (need[1]) {
           gb = trans_b ? ops::matmul(g, ta, true, trans_a)
                        : ops::matmul(ta, g, !trans_a, false);
         }
@@ -130,14 +125,10 @@ Variable linear(const Variable& x, const Variable& weight,
   if (has_bias) y = ops::add_row_broadcast(y, bias.data());
   std::vector<Variable> inputs{x, weight};
   if (has_bias) inputs.push_back(bias);
-  const LinearGrads need{x.requires_grad(), weight.requires_grad(),
-                         bias.requires_grad()};
   return make_op_result("Linear", std::move(y), std::move(inputs),
-                        [tx, tw, need, has_bias](const Tensor& g) {
-                          std::vector<Tensor> grads =
-                              linear_backward(g, tx, tw, need);
-                          if (!has_bias) grads.pop_back();
-                          return grads;
+                        [tx, tw](const Tensor& g,
+                                 const std::vector<bool>& need) {
+                          return linear_backward(g, tx, tw, need);
                         });
 }
 
@@ -154,11 +145,9 @@ Variable linear_act(const Variable& x, const Variable& weight,
       tx, tw, bias.data(),
       drop ? ops::Epilogue::kBiasReluDropout : ops::Epilogue::kBiasRelu,
       drop ? dropout_p : 0.0, seed, &mask);
-  const LinearGrads need{x.requires_grad(), weight.requires_grad(),
-                         bias.requires_grad()};
   return make_op_result(
       "LinearAct", std::move(y), {x, weight, bias},
-      [tx, tw, mask, need](const Tensor& g) {
+      [tx, tw, mask](const Tensor& g, const std::vector<bool>& need) {
         // mask is d y/d pre (relu gate x dropout scale), so one Hadamard
         // recovers the pre-activation gradient; the rest is Linear backward.
         return linear_backward(ops::mul(g, mask), tx, tw, need);
@@ -168,7 +157,7 @@ Variable linear_act(const Variable& x, const Variable& weight,
 Variable relu(const Variable& x) {
   Tensor mask = ops::relu_mask(x.data());
   return make_op_result("ReLU", ops::relu(x.data()), {x},
-                        [mask](const Tensor& g) {
+                        [mask](const Tensor& g, const std::vector<bool>&) {
                           return std::vector<Tensor>{ops::mul(g, mask)};
                         });
 }
@@ -176,7 +165,7 @@ Variable relu(const Variable& x) {
 Variable leaky_relu(const Variable& x, double slope) {
   Tensor mask = ops::leaky_relu_mask(x.data(), slope);
   return make_op_result("LeakyReLU", ops::leaky_relu(x.data(), slope), {x},
-                        [mask](const Tensor& g) {
+                        [mask](const Tensor& g, const std::vector<bool>&) {
                           return std::vector<Tensor>{ops::mul(g, mask)};
                         });
 }
@@ -186,7 +175,7 @@ Variable dropout(const Variable& x, double p, bool training,
   if (!training || p == 0.0) return x;
   Tensor mask = ops::dropout_mask(x.data().shape(), p, seed, x.data().dtype());
   return make_op_result("Dropout", ops::mul(x.data(), mask), {x},
-                        [mask](const Tensor& g) {
+                        [mask](const Tensor& g, const std::vector<bool>&) {
                           return std::vector<Tensor>{ops::mul(g, mask)};
                         });
 }
@@ -194,7 +183,7 @@ Variable dropout(const Variable& x, double p, bool training,
 Variable log_softmax(const Variable& x) {
   Tensor y = ops::log_softmax_rows(x.data());
   return make_op_result(
-      "LogSoftmax", y, {x}, [y](const Tensor& g) {
+      "LogSoftmax", y, {x}, [y](const Tensor& g, const std::vector<bool>&) {
         Tensor dx(y.shape(), y.dtype());
         const std::int64_t m = y.size(0), n = y.size(1);
         if (y.dtype() == DType::kF32) {
@@ -216,7 +205,7 @@ Variable nll_loss(const Variable& logp, const Tensor& target) {
   out.fill_(loss);
   return make_op_result(
       "NllLoss", std::move(out), {logp},
-      [tlogp, ttarget](const Tensor& g) {
+      [tlogp, ttarget](const Tensor& g, const std::vector<bool>&) {
         Tensor dl = ops::nll_loss_mean_backward(tlogp, ttarget);
         return std::vector<Tensor>{ops::scale(dl, scalar_value(g))};
       });
@@ -227,7 +216,7 @@ Variable narrow_rows(const Variable& x, std::int64_t begin, std::int64_t len) {
   const auto full_shape = x.data().shape();
   return make_op_result(
       "NarrowRows", view, {x},
-      [full_shape, begin, len](const Tensor& g) {
+      [full_shape, begin, len](const Tensor& g, const std::vector<bool>&) {
         Tensor gx(full_shape, g.dtype());
         Tensor dst = gx.narrow_rows(begin, len);
         std::memcpy(dst.raw(), g.raw(), g.nbytes());
@@ -240,7 +229,7 @@ Variable gather_rows(const Variable& x, const Tensor& idx) {
   Tensor tidx = idx;
   return make_op_result(
       "GatherRows", ops::gather_rows(x.data(), idx), {x},
-      [full_shape, tidx](const Tensor& g) {
+      [full_shape, tidx](const Tensor& g, const std::vector<bool>&) {
         Tensor gx(full_shape, g.dtype());
         ops::scatter_add_rows_(gx, tidx, g);
         return std::vector<Tensor>{std::move(gx)};
@@ -251,15 +240,13 @@ Variable concat_cols(const std::vector<Variable>& xs) {
   std::vector<Tensor> ts;
   ts.reserve(xs.size());
   std::vector<std::int64_t> widths;
-  std::vector<bool> need;
   for (const auto& v : xs) {
     ts.push_back(v.data());
     widths.push_back(v.data().size(1));
-    need.push_back(v.requires_grad());
   }
   return make_op_result(
       "ConcatCols", ops::concat_cols(ts), xs,
-      [widths, need](const Tensor& g) {
+      [widths](const Tensor& g, const std::vector<bool>& need) {
         std::vector<Tensor> grads(widths.size());
         std::int64_t col = 0;
         for (std::size_t i = 0; i < widths.size(); ++i) {
@@ -277,7 +264,7 @@ Variable spmm_mean(std::shared_ptr<const std::vector<std::int64_t>> indptr,
   Tensor y = ops::spmm_mean(*indptr, *indices, x.data(), num_dst);
   return make_op_result(
       "SpmmMean", std::move(y), {x},
-      [indptr, indices, num_src](const Tensor& g) {
+      [indptr, indices, num_src](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{
             ops::spmm_mean_backward(*indptr, *indices, g, num_src)};
       });
@@ -290,7 +277,7 @@ Variable spmm_sum(std::shared_ptr<const std::vector<std::int64_t>> indptr,
   Tensor y = ops::spmm_sum(*indptr, *indices, x.data(), num_dst);
   return make_op_result(
       "SpmmSum", std::move(y), {x},
-      [indptr, indices, num_src](const Tensor& g) {
+      [indptr, indices, num_src](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{
             ops::spmm_sum_backward(*indptr, *indices, g, num_src)};
       });
@@ -306,7 +293,7 @@ Variable spmm_weighted(
                                 num_dst);
   return make_op_result(
       "SpmmWeighted", std::move(y), {x},
-      [indptr, indices, weights, num_src](const Tensor& g) {
+      [indptr, indices, weights, num_src](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{ops::spmm_weighted_backward(
             *indptr, *indices, *weights, g, num_src)};
       });
@@ -320,7 +307,7 @@ Variable spmm_max(std::shared_ptr<const std::vector<std::int64_t>> indptr,
   Tensor y = ops::spmm_max(*indptr, *indices, x.data(), num_dst,
                            argmax.get());
   return make_op_result(
-      "SpmmMax", std::move(y), {x}, [argmax, num_src](const Tensor& g) {
+      "SpmmMax", std::move(y), {x}, [argmax, num_src](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{ops::spmm_max_backward(*argmax, g,
                                                           num_src)};
       });
@@ -393,15 +380,10 @@ Tensor bn_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   return y;
 }
 
-/// Which of batch_norm's inputs {x, gamma, beta} need a gradient.
-struct BnGrads {
-  bool x, gamma, beta;
-};
-
 template <typename T>
 std::vector<Tensor> bn_backward(const Tensor& g, const Tensor& gamma,
                                 const BnCtx<T>& ctx, bool training,
-                                const BnGrads& need) {
+                                const std::vector<bool>& need) {
   const std::int64_t m = g.size(0), n = g.size(1);
   const T* pg = g.data<T>();
   const T* pgam = gamma.data<T>();
@@ -424,17 +406,17 @@ std::vector<Tensor> bn_backward(const Tensor& g, const Tensor& gamma,
     }
   }
   std::vector<Tensor> grads(3);
-  if (need.gamma) {
+  if (need[1]) {
     grads[1] = Tensor({n}, g.dtype());
     T* pdg = grads[1].data<T>();
     for (std::int64_t j = 0; j < n; ++j) pdg[j] = static_cast<T>(sum_g_h[j]);
   }
-  if (need.beta) {
+  if (need[2]) {
     grads[2] = Tensor({n}, g.dtype());
     T* pdb = grads[2].data<T>();
     for (std::int64_t j = 0; j < n; ++j) pdb[j] = static_cast<T>(sum_g[j]);
   }
-  if (!need.x) return grads;
+  if (!need[0]) return grads;
   Tensor dx(g.shape(), g.dtype());
   T* pdx = dx.data<T>();
   if (training) {
@@ -466,8 +448,6 @@ Variable batch_norm(const Variable& x, const Variable& gamma,
                     Tensor& running_var, bool training, double momentum,
                     double eps) {
   if (x.data().dim() != 2) throw std::runtime_error("batch_norm: need [M,N]");
-  const BnGrads need{x.requires_grad(), gamma.requires_grad(),
-                     beta.requires_grad()};
   if (x.data().dtype() == DType::kF32) {
     auto ctx = std::make_shared<BnCtx<float>>();
     Tensor y = bn_forward<float>(x.data(), gamma.data(), beta.data(),
@@ -476,7 +456,8 @@ Variable batch_norm(const Variable& x, const Variable& gamma,
     Tensor tgamma = gamma.data();
     return make_op_result(
         "BatchNorm", std::move(y), {x, gamma, beta},
-        [ctx, tgamma, training, need](const Tensor& g) {
+        [ctx, tgamma, training](const Tensor& g,
+                                const std::vector<bool>& need) {
           return bn_backward<float>(g, tgamma, *ctx, training, need);
         });
   }
@@ -487,7 +468,7 @@ Variable batch_norm(const Variable& x, const Variable& gamma,
   Tensor tgamma = gamma.data();
   return make_op_result(
       "BatchNorm", std::move(y), {x, gamma, beta},
-      [ctx, tgamma, training, need](const Tensor& g) {
+      [ctx, tgamma, training](const Tensor& g, const std::vector<bool>& need) {
         return bn_backward<double>(g, tgamma, *ctx, training, need);
       });
 }

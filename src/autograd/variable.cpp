@@ -71,11 +71,16 @@ void Variable::backward(Tensor grad_seed) const {
 Variable make_op_result(const char* name, Tensor data,
                         std::vector<Variable> inputs,
                         LambdaNode::BackwardFn backward_fn) {
+  std::vector<bool> need;
+  need.reserve(inputs.size());
   bool any = false;
-  for (const auto& v : inputs) any = any || v.requires_grad();
+  for (const auto& v : inputs) {
+    need.push_back(v.requires_grad());
+    any = any || v.requires_grad();
+  }
   if (!any) return Variable(std::move(data), false);
-  auto node = std::make_shared<LambdaNode>(name, std::move(inputs),
-                                           std::move(backward_fn));
+  auto node = std::make_shared<LambdaNode>(
+      name, std::move(inputs), std::move(need), std::move(backward_fn));
   return Variable::from_op(std::move(data), std::move(node), true);
 }
 

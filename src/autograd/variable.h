@@ -26,10 +26,11 @@ class Node {
   /// some scalar loss w.r.t. the output.
   ///
   /// Contract:
-  ///   * Skip inputs that need no gradient: record each input's
-  ///     requires_grad() when the op is built (it never changes afterwards)
-  ///     and return an undefined Tensor for those that did not require grad,
-  ///     without computing it.
+  ///   * Skip inputs that need no gradient: compute nothing for an input
+  ///     whose requires_grad() is false (it never changes after the op is
+  ///     built) and return an undefined Tensor for it. The engine ignores
+  ///     that entry, so returning a tensor already at hand (Add's
+  ///     `grad_out`) is fine too.
   ///   * Never mutate `grad_out`. The returned tensors may alias `grad_out`
   ///     or each other (Add returns `grad_out` for both inputs): the engine
   ///     moves them into its gradient slots without copying, sums fan-in out
@@ -107,21 +108,30 @@ class Variable {
   std::shared_ptr<Impl> impl_;
 };
 
-/// Convenience node implemented with a lambda.
+/// Convenience node implemented with a lambda. The lambda receives the
+/// output gradient and `need`: need[i] is inputs()[i].requires_grad(), read
+/// once when the node is built, and input i's gradient is computed only
+/// when need[i] is set (see Node::backward).
 class LambdaNode final : public Node {
  public:
-  using BackwardFn = std::function<std::vector<Tensor>(const Tensor&)>;
+  using BackwardFn = std::function<std::vector<Tensor>(
+      const Tensor& grad_out, const std::vector<bool>& need)>;
 
-  LambdaNode(const char* name, std::vector<Variable> inputs, BackwardFn fn)
-      : Node(std::move(inputs)), name_(name), fn_(std::move(fn)) {}
+  LambdaNode(const char* name, std::vector<Variable> inputs,
+             std::vector<bool> need, BackwardFn fn)
+      : Node(std::move(inputs)),
+        name_(name),
+        need_(std::move(need)),
+        fn_(std::move(fn)) {}
 
   std::vector<Tensor> backward(const Tensor& grad_out) override {
-    return fn_(grad_out);
+    return fn_(grad_out, need_);
   }
   const char* name() const override { return name_; }
 
  private:
   const char* name_;
+  std::vector<bool> need_;
   BackwardFn fn_;
 };
 

@@ -32,10 +32,10 @@ Variable per_head_score(const Variable& h, const Variable& att,
     return out;
   };
   Tensor out = th.dtype() == DType::kF32 ? forward(0.0f) : forward(0.0);
-  const bool need_h = h.requires_grad(), need_att = att.requires_grad();
   return make_op_result(
       "PerHeadScore", std::move(out), {h, att},
-      [th, tatt, heads, n, f, need_h, need_att](const Tensor& g) {
+      [th, tatt, heads, n, f](const Tensor& g, const std::vector<bool>& need) {
+        const bool need_h = need[0], need_att = need[1];
         auto backward = [&](auto zero) {
           using T = decltype(zero);
           Tensor dh, datt;
@@ -145,14 +145,10 @@ Tensor gat_forward(const Tensor& h, const Tensor& s_src, const Tensor& s_dst,
   return out;
 }
 
-/// Which of the aggregate's inputs {h, s_src, s_dst} need a gradient.
-struct GatGrads {
-  bool h, s_src, s_dst;
-};
-
 template <typename T>
 std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
-                                 std::int64_t num_src, const GatGrads& need) {
+                                 std::int64_t num_src,
+                                 const std::vector<bool>& need) {
   const auto& indptr = *ctx.indptr;
   const auto& indices = *ctx.indices;
   const std::int64_t d_count = ctx.num_dst;
@@ -163,14 +159,15 @@ std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
   const auto num_edges = static_cast<std::int64_t>(indices.size());
 
   // The score gradients share the softmax backward; dh needs only alpha.
-  const bool need_scores = need.s_src || need.s_dst;
+  const bool need_h = need[0], need_s_src = need[1], need_s_dst = need[2];
+  const bool need_scores = need_s_src || need_s_dst;
   Tensor dh, ds_src, ds_dst;
-  if (need.h) dh = Tensor({num_src, heads * f}, g.dtype());
-  if (need.s_src) ds_src = Tensor({num_src, heads}, g.dtype());
-  if (need.s_dst) ds_dst = Tensor({d_count, heads}, g.dtype());
-  T* pdh = need.h ? dh.data<T>() : nullptr;
-  T* pdss = need.s_src ? ds_src.data<T>() : nullptr;
-  T* pdsd = need.s_dst ? ds_dst.data<T>() : nullptr;
+  if (need_h) dh = Tensor({num_src, heads * f}, g.dtype());
+  if (need_s_src) ds_src = Tensor({num_src, heads}, g.dtype());
+  if (need_s_dst) ds_dst = Tensor({d_count, heads}, g.dtype());
+  T* pdh = need_h ? dh.data<T>() : nullptr;
+  T* pdss = need_s_src ? ds_src.data<T>() : nullptr;
+  T* pdsd = need_s_dst ? ds_dst.data<T>() : nullptr;
 
   std::vector<double> dalpha;
   for (std::int64_t v = 0; v < d_count; ++v) {
@@ -187,7 +184,7 @@ std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
         const std::size_t slot = static_cast<std::size_t>(
             ((k < m - 1) ? (b + k) : (num_edges + v)) * heads + hd);
         const double a = double(ctx.alpha[slot]);
-        if (need.h) {
+        if (need_h) {
           T* dhrow = pdh + u * heads * f + hd * f;
           for (std::int64_t j = 0; j < f; ++j) {
             dhrow[j] += static_cast<T>(a * double(grow[j]));
@@ -211,8 +208,8 @@ std::vector<Tensor> gat_backward(const Tensor& g, const GatCtx<T>& ctx,
         const double a = double(ctx.alpha[slot]);
         const double dz = a * (dalpha[static_cast<std::size_t>(k)] - dot) *
                           double(ctx.dmask[slot]);
-        if (need.s_src) pdss[u * heads + hd] += static_cast<T>(dz);
-        if (need.s_dst) pdsd[v * heads + hd] += static_cast<T>(dz);
+        if (need_s_src) pdss[u * heads + hd] += static_cast<T>(dz);
+        if (need_s_dst) pdsd[v * heads + hd] += static_cast<T>(dz);
       }
     }
   }
@@ -241,10 +238,9 @@ Variable gat_edge_softmax_aggregate(
     ctx->h = h.data();
     Tensor out =
         gat_forward<T>(h.data(), s_src.data(), s_dst.data(), *ctx, slope);
-    const GatGrads need{h.requires_grad(), s_src.requires_grad(),
-                        s_dst.requires_grad()};
     return make_op_result("GatAggregate", std::move(out), {h, s_src, s_dst},
-                          [ctx, num_src, need](const Tensor& g) {
+                          [ctx, num_src](const Tensor& g,
+                                         const std::vector<bool>& need) {
                             return gat_backward<T>(g, *ctx, num_src, need);
                           });
   };

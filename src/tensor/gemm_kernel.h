@@ -70,26 +70,28 @@ inline constexpr std::int64_t kGemmNR = 2 * kGemmLanes<T>;
 /// L1-resident while a thread sweeps its row panels.
 inline constexpr std::int64_t kGemmKC = 256;
 
-/// Split-K: K-slice length, the largest output (M*N elements) it applies
-/// to, and the fewest slices worth splitting into. All three are fixed, so
-/// whether and how a product splits depends on its shape alone, never on
-/// the pool size.
-inline constexpr std::int64_t kGemmSplitKSlice = 4 * kGemmKC;
+/// Split-K: the shortest K slice, the most slices, and the largest output
+/// (M*N elements) it applies to. All three are fixed, so whether and how a
+/// product splits depends on its shape alone, never on the pool size.
+inline constexpr std::int64_t kGemmSplitKMinLen = 4 * kGemmKC;
+inline constexpr std::int64_t kGemmSplitKMaxSlices = 16;
 inline constexpr std::int64_t kGemmSplitKMaxOutput = 256 * 256;
-inline constexpr std::int64_t kGemmSplitKMinSlices = 4;
 
-/// Number of K slices the optimized GEMM computes an [M,K]x[K,N] product
-/// in; 1 means no split. Splitting pays off when the output is small (too
-/// few MR-row panels to occupy the pool, and a fork/join per k block for
-/// little work each) and K is long: the weight gradient g^T x over a whole
-/// MFG level. The output cap bounds the partial sums to 1/8 of the size of
-/// the operands.
-constexpr std::int64_t gemm_split_k_slices(std::int64_t m, std::int64_t k,
-                                           std::int64_t n) {
-  const std::int64_t slices = (k + kGemmSplitKSlice - 1) / kGemmSplitKSlice;
-  return m * n <= kGemmSplitKMaxOutput && slices >= kGemmSplitKMinSlices
-             ? slices
-             : 1;
+/// K-slice length the optimized GEMM computes an [M,K]x[K,N] product in; k
+/// itself means no split. Splitting pays off when the output is small (too
+/// few MR-row panels to occupy the pool, and three fork/joins per k block
+/// for little work each) and K is long: the weight gradient g^T x over a
+/// whole MFG level. A product splits when K holds at least four slices of
+/// kGemmSplitKMinLen, into at most kGemmSplitKMaxSlices slices of whole k
+/// blocks, so its partial sums never exceed
+/// (kGemmSplitKMaxSlices - 1) * kGemmSplitKMaxOutput elements.
+constexpr std::int64_t gemm_split_k_len(std::int64_t m, std::int64_t k,
+                                        std::int64_t n) {
+  const std::int64_t slices = std::min(k / kGemmSplitKMinLen,
+                                       kGemmSplitKMaxSlices);
+  if (m * n > kGemmSplitKMaxOutput || slices < 4) return k;
+  const std::int64_t len = (k + slices - 1) / slices;
+  return (len + kGemmKC - 1) / kGemmKC * kGemmKC;
 }
 
 /// Number of NR-wide column panels covering n columns.

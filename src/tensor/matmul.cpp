@@ -11,8 +11,8 @@
 //     on the kernel pool. Packing keeps every hot loop unit-stride for all
 //     trans_a/trans_b combinations (a transposed A packs straight from its
 //     stored layout), and the branch-free k loop lets the compiler emit FMA
-//     vector code. Small-output, long-K products split K into fixed slices
-//     instead (detail::gemm_split_k_slices).
+//     vector code. Small-output, long-K products split K into slices fixed
+//     by the shape (detail::gemm_split_k_len).
 //
 // Determinism: each C element is accumulated in an order fixed by the shape
 // alone — ascending k by one thread, or per fixed K slice and then across
@@ -141,80 +141,10 @@ void gemm_pack_a_panel(const T* a, bool a_trans, std::int64_t m,
   }
 }
 
-/// C[M,N] = A[:, k0:k1] * B[k0:k1, :], computed serially by the calling
-/// thread with gemm_opt's packing, loop order and ascending-k accumulation
-/// (the first k block stores, later ones add). One split-K slice.
-template <typename T>
-void gemm_opt_serial(const T* a, bool a_trans, const T* b, T* c,
-                     std::int64_t m, std::int64_t k, std::int64_t n,
-                     std::int64_t k0, std::int64_t k1) {
-  using namespace detail;
-  constexpr std::int64_t kNR = kGemmNR<T>;
-  const std::int64_t panels = gemm_num_col_panels<T>(n);
-  const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t kc_max = std::min(kGemmKC, k1 - k0);
-  T* const b_packed = gemm_scratch<T>(gemm_scratch_elems<T>(m, kc_max, n));
-  T* const a_packed = b_packed + panels * kc_max * kNR;
-  for (std::int64_t kk = k0; kk < k1; kk += kGemmKC) {
-    const std::int64_t kc = std::min(kGemmKC, k1 - kk);
-    for (std::int64_t jp = 0; jp < panels; ++jp) {
-      gemm_pack_b(b, n, b_packed + jp * kc * kNR, kk, kc, jp * kNR);
-    }
-    for (std::int64_t ip = 0; ip < row_panels; ++ip) {
-      gemm_pack_a_panel(a, a_trans, m, k, a_packed + ip * kc * kGemmMR, ip,
-                        kk, kc);
-    }
-    for (std::int64_t jp = 0; jp < panels; ++jp) {
-      const std::int64_t j0 = jp * kNR;
-      const T* bp = b_packed + jp * kc * kNR;
-      for (std::int64_t ip = 0; ip < row_panels; ++ip) {
-        const std::int64_t i0 = ip * kGemmMR;
-        gemm_microkernel(a_packed + ip * kc * kGemmMR, bp, kc, c, n, i0,
-                         std::min(kGemmMR, m - i0), j0,
-                         std::min(kNR, n - j0), kk != k0);
-      }
-    }
-  }
-}
-
-/// Split-K: slice s covers the K range [s, s+1) * kGemmSplitKSlice and
-/// runs serially in one task into its own partial (slice 0 into C itself);
-/// the partials are then added to C in slice order. A slice's partial and
-/// the order of the final sum both depend only on the shape, never on which
-/// thread ran which slice, so the result is bitwise identical across runs
-/// and pool sizes.
-template <typename T>
-void gemm_opt_split_k(const T* a, bool a_trans, const T* b, T* c,
-                      std::int64_t m, std::int64_t k, std::int64_t n,
-                      std::int64_t slices) {
-  using namespace detail;
-  const std::int64_t mn = m * n;
-  // Its own buffer: the caller runs a chunk of slices itself, and those
-  // use the caller's packing scratch.
-  thread_local GemmScratch<T> partial_scratch;
-  T* const partials =
-      partial_scratch.get(static_cast<std::size_t>((slices - 1) * mn));
-  parallel_for_n(slices, mn * k, [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t s = sb; s < se; ++s) {
-      const std::int64_t k0 = s * kGemmSplitKSlice;
-      gemm_opt_serial(a, a_trans, b, s == 0 ? c : partials + (s - 1) * mn, m,
-                      k, n, k0, std::min(k, k0 + kGemmSplitKSlice));
-    }
-  });
-  parallel_for_n(
-      m, mn * slices,
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (std::int64_t s = 1; s < slices; ++s) {
-          const T* part = partials + (s - 1) * mn;
-          for (std::int64_t e = ib * n; e < ie * n; ++e) c[e] += part[e];
-        }
-      },
-      GrainClass::kMemoryBound);
-}
-
-/// Optimized: packed panels + register-tiled microkernel, parallel over
-/// MR-row panels of C. A is row-major [M,K], or stored transposed as [K,M]
-/// when `a_trans`: its panels then pack straight from that layout.
+/// C[M,N] = A[:, k0:k1] * B[k0:k1, :] with packed panels and the
+/// register-tiled microkernel, parallel over MR-row panels of C. A is
+/// row-major [M,K], or stored transposed as [K,M] when `a_trans`: its panels
+/// then pack straight from that layout.
 ///
 /// Loop order is GotoBLAS-style: the k dimension is processed in kKC-sized
 /// blocks; within a block each thread walks column panels in the outer loop
@@ -222,31 +152,26 @@ void gemm_opt_split_k(const T* a, bool a_trans, const T* b, T* c,
 /// multiplying stays hot in L1 while the (smaller) A panels stream through.
 /// The first cut of this kernel used the opposite order — every row panel
 /// swept all of packed B — and was L2-bandwidth-bound at ~20% of FMA peak.
-/// Small-output, long-K shapes run split-K instead
-/// (detail::gemm_split_k_slices).
 ///
-/// Determinism: outside split-K, C is partitioned into MR-row panels, each
-/// owned by exactly one thread, and every element accumulates in ascending-k
-/// order (k blocks in order, ascending k within a block), so the result is
-/// bitwise identical across runs and pool sizes.
+/// Determinism: C is partitioned into MR-row panels, each owned by exactly
+/// one thread, and every element accumulates in ascending-k order (the
+/// first k block stores, later ones add), so the result is bitwise
+/// identical across runs and pool sizes, and when called from inside a pool
+/// job, where every parallel_for_n runs serially.
 template <typename T>
-void gemm_opt(const T* a, bool a_trans, const T* b, T* c, std::int64_t m,
-              std::int64_t k, std::int64_t n) {
+void gemm_opt_k_range(const T* a, bool a_trans, const T* b, T* c,
+                      std::int64_t m, std::int64_t k, std::int64_t n,
+                      std::int64_t k0, std::int64_t k1) {
   using namespace detail;
-  const std::int64_t slices = gemm_split_k_slices(m, k, n);
-  if (slices > 1) {
-    gemm_opt_split_k(a, a_trans, b, c, m, k, n, slices);
-    return;
-  }
   constexpr std::int64_t kNR = kGemmNR<T>;
   const std::int64_t panels = gemm_num_col_panels<T>(n);
   const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t kc_max = std::min(kGemmKC, k);
+  const std::int64_t kc_max = std::min(kGemmKC, k1 - k0);
   T* const b_packed = gemm_scratch<T>(gemm_scratch_elems<T>(m, kc_max, n));
   T* const a_packed = b_packed + panels * kc_max * kNR;
 
-  for (std::int64_t kk = 0; kk < k; kk += kGemmKC) {
-    const std::int64_t kc = std::min(kGemmKC, k - kk);
+  for (std::int64_t kk = k0; kk < k1; kk += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, k1 - kk);
     parallel_for_n(panels, kc * n, [&](std::int64_t pb, std::int64_t pe) {
       for (std::int64_t jp = pb; jp < pe; ++jp) {
         gemm_pack_b(b, n, b_packed + jp * kc * kNR, kk, kc, jp * kNR);
@@ -269,11 +194,51 @@ void gemm_opt(const T* a, bool a_trans, const T* b, T* c, std::int64_t m,
                          const std::int64_t h = std::min(kGemmMR, m - i0);
                          gemm_microkernel(
                              a_packed + ip * kc * kGemmMR, bp, kc, c,
-                             n, i0, h, j0, w, kk != 0);
+                             n, i0, h, j0, w, kk != k0);
                        }
                      }
                    });
   }
+}
+
+/// Optimized GEMM: one gemm_opt_k_range over all of K, or split-K for the
+/// small-output, long-K shapes detail::gemm_split_k_len picks. Split-K runs
+/// the pool over K slices instead of row panels: each slice is one task
+/// computing its whole range serially into its own partial (slice 0 into C
+/// itself), and the partials are then added to C in slice order. A slice's
+/// partial and the order of the final sum depend only on the shape, never on
+/// which thread ran which slice, so the result stays bitwise identical
+/// across runs and pool sizes.
+template <typename T>
+void gemm_opt(const T* a, bool a_trans, const T* b, T* c, std::int64_t m,
+              std::int64_t k, std::int64_t n) {
+  const std::int64_t len = detail::gemm_split_k_len(m, k, n);
+  if (len >= k) {
+    gemm_opt_k_range(a, a_trans, b, c, m, k, n, 0, k);
+    return;
+  }
+  const std::int64_t slices = (k + len - 1) / len;
+  const std::int64_t mn = m * n;
+  // Its own buffer: the caller runs a chunk of slices itself, and those
+  // use the caller's packing scratch. gemm_split_k_len bounds its size.
+  thread_local GemmScratch<T> partial_scratch;
+  T* const partials =
+      partial_scratch.get(static_cast<std::size_t>((slices - 1) * mn));
+  parallel_for_n(slices, mn * k, [&](std::int64_t sb, std::int64_t se) {
+    for (std::int64_t s = sb; s < se; ++s) {
+      gemm_opt_k_range(a, a_trans, b, s == 0 ? c : partials + (s - 1) * mn,
+                       m, k, n, s * len, std::min(k, (s + 1) * len));
+    }
+  });
+  parallel_for_n(
+      m, mn * slices,
+      [&](std::int64_t ib, std::int64_t ie) {
+        for (std::int64_t s = 1; s < slices; ++s) {
+          const T* part = partials + (s - 1) * mn;
+          for (std::int64_t e = ib * n; e < ie * n; ++e) c[e] += part[e];
+        }
+      },
+      GrainClass::kMemoryBound);
 }
 
 /// gemm_opt with a fused store-phase epilogue: identical packing, loop

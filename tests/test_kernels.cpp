@@ -301,10 +301,19 @@ TEST(Gemm, OptDeterministicAcrossPoolSizes) {
 // slice length; M and N not multiples of MR or of NR (for f32 or f64).
 constexpr std::int64_t kSplitM = 67;
 constexpr std::int64_t kSplitN = 37;
-constexpr std::int64_t kSplitK = 5 * ops::detail::kGemmSplitKSlice + 333;
-static_assert(ops::detail::gemm_split_k_slices(kSplitM, kSplitK, kSplitN) > 1);
-static_assert(kSplitK % ops::detail::kGemmSplitKSlice != 0);
+constexpr std::int64_t kSplitK = 5 * ops::detail::kGemmSplitKMinLen + 333;
+static_assert(ops::detail::gemm_split_k_len(kSplitM, kSplitK, kSplitN) <
+              kSplitK);
+static_assert(kSplitK % ops::detail::gemm_split_k_len(kSplitM, kSplitK,
+                                                      kSplitN) != 0);
 static_assert(kSplitM % ops::detail::kGemmMR != 0);
+// The slice count is capped: a K of 64 minimum-length slices still splits
+// into kGemmSplitKMaxSlices, so the partial sums stay bounded by the output.
+static_assert(ops::detail::gemm_split_k_len(64, 64 * 1024, 128) *
+                  ops::detail::kGemmSplitKMaxSlices ==
+              64 * 1024);
+static_assert(ops::detail::gemm_split_k_len(257, 64 * 1024, 256) ==
+              64 * 1024);
 
 /// Row-major transpose of a 2-D tensor.
 Tensor transposed(const Tensor& t) {
