@@ -48,13 +48,17 @@ class System {
   std::vector<EpochStats> train(int epochs);
 
   /// Sampled-inference accuracy on the test split using
-  /// config.infer_fanouts (paper §5 mini-batch inference).
+  /// config.infer_fanouts (paper §5 mini-batch inference). It runs through
+  /// the training pipeline (Trainer::inference_epoch: the same loader
+  /// workers, wire dtype and feature cache) with seed config.seed ^ 0x7e57,
+  /// and equals evaluate_sampled at that seed (train/inference.h).
   double test_accuracy();
   /// Sampled-inference accuracy on the test split with an explicit fanout
   /// per layer, overriding config.infer_fanouts.
   double test_accuracy(std::span<const std::int64_t> fanouts);
   /// Sampled-inference accuracy on the validation split using
-  /// config.infer_fanouts.
+  /// config.infer_fanouts, through the pipeline like test_accuracy, with
+  /// seed config.seed ^ 0x7a1.
   double val_accuracy();
 
   /// The dataset the system was built over (generated preset or caller's).

@@ -8,13 +8,12 @@
 namespace salient::optim {
 
 Adam::Adam(std::vector<Variable> params, double lr, double beta1, double beta2,
-           double eps, double weight_decay)
-    : Optimizer(std::move(params)),
+           double eps)
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
+      eps_(eps) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
@@ -40,8 +39,7 @@ void Adam::step() {
       using T = std::remove_reference_t<decltype(pd[0])>;
       ops::parallel_for_n(n, n, [&](std::int64_t ib, std::int64_t ie) {
         for (std::int64_t i = ib; i < ie; ++i) {
-          double g = double(pg[i]);
-          if (weight_decay_ != 0.0) g += weight_decay_ * double(pd[i]);
+          const double g = double(pg[i]);
           const double m = beta1_ * double(pm[i]) + (1 - beta1_) * g;
           const double v = beta2_ * double(pv[i]) + (1 - beta2_) * g * g;
           pm[i] = static_cast<T>(m);

@@ -3,8 +3,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/trace.h"
 #include "prep/pinned_pool.h"
 #include "prep/slicing.h"
+#include "sampling/distributed.h"
+#include "sampling/fast_sampler.h"
 
 namespace salient {
 
@@ -30,6 +33,36 @@ void stage_feature_rows(const Tensor& features, std::span<const NodeId> ids,
       throw std::invalid_argument(
           "stage_feature_rows: feature_dtype must be f16/f32/i8q");
   }
+}
+
+PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
+                            std::span<const NodeId> nodes, std::int64_t index,
+                            std::uint64_t seed, DType wire_dtype,
+                            PinnedPool& pool, const FeatureCache* cache) {
+  PreparedBatch batch;
+  batch.index = index;
+  {
+    SALIENT_TRACE_SCOPE_ARG("prep.sample", index);
+    batch.mfg = sampler.sample(nodes, schedule_mix_seed(seed, index));
+  }
+  SALIENT_TRACE_SCOPE_ARG("prep.slice", index);
+  // With a device feature cache, only the cache-missing rows are staged.
+  if (cache != nullptr) {
+    auto plan =
+        std::make_shared<CachePlan>(plan_cached_batch(batch.mfg, *cache));
+    stage_feature_rows(dataset.features, missing_node_ids(batch.mfg, *plan),
+                       wire_dtype, pool, batch);
+    batch.cache_plan = std::move(plan);
+  } else {
+    stage_feature_rows(dataset.features, batch.mfg.n_ids, wire_dtype, pool,
+                       batch);
+  }
+  batch.y = pool.acquire({batch.mfg.batch_size}, DType::kI64);
+  slice_labels(dataset.labels,
+               {batch.mfg.n_ids.data(),
+                static_cast<std::size_t>(batch.mfg.batch_size)},
+               batch.y);
+  return batch;
 }
 
 void release_batch_buffers(PinnedPool& pool, PreparedBatch&& batch) {

@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/dataset.h"
 #include "prep/feature_cache.h"
 #include "sampling/mfg.h"
 #include "tensor/tensor.h"
@@ -60,7 +61,20 @@ struct PreparedBatch {
   }
 };
 
+class FastSampler;
 class PinnedPool;
+
+/// Prepare batch `index` of a sampled pass over `nodes`, end to end: sample
+/// its MFG with schedule_mix_seed(seed, index) (the `prep.sample` span),
+/// then, under `prep.slice`, plan it against `cache` when one is given,
+/// stage the (missing) feature rows in `wire_dtype` through
+/// stage_feature_rows, and slice the labels. This is the one prepare step
+/// the SALIENT loader's workers and the inference server's prep workers
+/// share, so a batch is a function of (seed, index, nodes) alone.
+PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
+                            std::span<const NodeId> nodes, std::int64_t index,
+                            std::uint64_t seed, DType wire_dtype,
+                            PinnedPool& pool, const FeatureCache* cache);
 
 /// Slice the feature rows of `ids` into `batch.x` (and, for kInt8Q,
 /// `batch.x_scale`/`batch.x_zero`) in the loader's wire dtype, staged in

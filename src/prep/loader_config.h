@@ -29,9 +29,10 @@ struct LoaderConfig {
   int num_workers = 1;
   /// Bound on prepared batches buffered ahead of the consumer.
   std::size_t queue_capacity = 4;
-  /// Epoch seed: drives shuffling and the per-batch sampling RNG. The
-  /// per-batch RNG is seeded by mix(seed, batch index), so the sampled MFGs
-  /// are identical regardless of worker count and scheduling.
+  /// Epoch seed: drives the shuffle (schedule_shuffle) and the per-batch
+  /// sampling RNG, which batch b seeds with schedule_mix_seed(seed, b)
+  /// (sampling/distributed.h), so the sampled MFGs are identical regardless
+  /// of worker count and scheduling.
   std::uint64_t seed = 1;
   /// Shuffle the seed-node order each epoch.
   bool shuffle = true;

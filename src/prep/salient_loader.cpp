@@ -5,19 +5,12 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "prep/slicing.h"
+#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
-#include "util/rng.h"
 
 namespace salient {
 
 namespace {
-
-std::uint64_t mix_seed(std::uint64_t seed, std::int64_t index) {
-  SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ull *
-                        static_cast<std::uint64_t>(index + 1)));
-  return sm.next();
-}
 
 /// Idle backoff while the input queue reports empty but batches remain
 /// outstanding (claimed by other workers, or a transient injected miss).
@@ -43,12 +36,7 @@ SalientLoader::SalientLoader(const Dataset& dataset,
       output_queue_(config_.queue_capacity) {
   input_queue_.set_fault_site("prep_in");
   output_queue_.set_fault_site("prep_out");
-  if (config_.shuffle) {
-    Xoshiro256ss rng(config_.seed);
-    for (std::size_t i = epoch_nodes_.size(); i > 1; --i) {
-      std::swap(epoch_nodes_[i - 1], epoch_nodes_[bounded_rand(rng, i)]);
-    }
-  }
+  if (config_.shuffle) schedule_shuffle(epoch_nodes_, config_.seed);
   const auto n = static_cast<std::int64_t>(epoch_nodes_.size());
   num_batches_ = (n + config_.batch_size - 1) / config_.batch_size;
   pending_.store(num_batches_, std::memory_order_relaxed);
@@ -139,43 +127,14 @@ void SalientLoader::worker_loop(int worker_index) {
     // the batch (train/trainer.cpp) — the full per-batch pipeline latency.
     SALIENT_TRACE_ASYNC_BEGIN("batch", desc.index);
 
-    // 1. Neighborhood sampling and MFG construction (fused).
-    const std::span<const NodeId> batch_nodes(
-        epoch_nodes_.data() + desc.begin,
-        static_cast<std::size_t>(desc.end - desc.begin));
-    PreparedBatch batch;
-    batch.index = desc.index;
-    {
-      SALIENT_TRACE_SCOPE_ARG("prep.sample", desc.index);
-      batch.mfg =
-          sampler.sample(batch_nodes, mix_seed(config_.seed, desc.index));
-    }
-
-    // 2. Serial slicing directly into pinned staging buffers. With a device
-    // feature cache, only the cache-missing rows are sliced/staged.
-    {
-      SALIENT_TRACE_SCOPE_ARG("prep.slice", desc.index);
-      // Rows leave the host in config_.feature_dtype: converted (f16/f32)
-      // or per-row int8-quantized during the gather, so pinned staging and
-      // the DMA only ever see the wire format.
-      if (cache_) {
-        auto plan = std::make_shared<CachePlan>(
-            plan_cached_batch(batch.mfg, *cache_));
-        const std::vector<NodeId> missing =
-            missing_node_ids(batch.mfg, *plan);
-        stage_feature_rows(dataset_.features, missing,
-                           config_.feature_dtype, *pool_, batch);
-        batch.cache_plan = std::move(plan);
-      } else {
-        stage_feature_rows(dataset_.features, batch.mfg.n_ids,
-                           config_.feature_dtype, *pool_, batch);
-      }
-      batch.y = pool_->acquire({batch.mfg.batch_size}, DType::kI64);
-      slice_labels(dataset_.labels,
-                   {batch.mfg.n_ids.data(),
-                    static_cast<std::size_t>(batch.mfg.batch_size)},
-                   batch.y);
-    }
+    // 1-2. Fused sampling + MFG construction, then serial slicing directly
+    // into pinned staging buffers in the wire dtype.
+    PreparedBatch batch = prepare_batch(
+        sampler, dataset_,
+        {epoch_nodes_.data() + desc.begin,
+         static_cast<std::size_t>(desc.end - desc.begin)},
+        desc.index, config_.seed, config_.feature_dtype, *pool_,
+        cache_.get());
     m_prepared.add();
 
     // 3. Zero-copy hand-off to the consumer. Only a delivered batch counts

@@ -5,6 +5,7 @@
 
 #include "obs/trace.h"
 #include "prep/slicing.h"
+#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
 #include "tensor/ops.h"
 
@@ -40,7 +41,7 @@ InferenceResult evaluate_sampled(nn::GnnModel& model, const Dataset& dataset,
     const std::span<const NodeId> batch_nodes(
         nodes.data() + begin, static_cast<std::size_t>(end - begin));
     Mfg mfg = sampler.sample(batch_nodes,
-                             seed + static_cast<std::uint64_t>(begin) + 1);
+                             schedule_mix_seed(seed, begin / batch_size));
     Tensor x;
     {
       SALIENT_TRACE_SCOPE_ARG("infer.slice", mfg.num_input_nodes());

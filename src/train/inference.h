@@ -2,6 +2,12 @@
 //   * evaluate_sampled — mini-batch inference with neighborhood sampling,
 //     reusing the exact training forward (the unification the paper argues
 //     for). One-shot sampling per node, like the paper's inference runs.
+//     It is the serial oracle for the pipelined path,
+//     Trainer::inference_epoch (which System's val/test accuracy runs on):
+//     both seed batch b with schedule_mix_seed(seed, b), so at an f16 or
+//     f32 wire their accuracies are bitwise equal at any worker count and
+//     cache setting. With an i8q wire the pipelined accuracy is over the
+//     dequantized rows and may differ.
 //   * evaluate_layerwise — full-neighborhood inference computed layer by
 //     layer over ALL graph nodes, storing each layer's representations in
 //     host memory (the conventional alternative; Table 6's "fanout: all").
@@ -26,8 +32,10 @@ struct InferenceResult {
   std::vector<std::int64_t> predictions;
 };
 
-/// Mini-batch sampled inference over `nodes`. `fanouts` may differ from the
-/// training fanout (Table 6 sweeps it). The model is switched to eval mode.
+/// Mini-batch sampled inference over `nodes`, serially on the calling thread.
+/// Batch b holds nodes [b * batch_size, (b + 1) * batch_size) and samples
+/// with schedule_mix_seed(seed, b). `fanouts` may differ from the training
+/// fanout (Table 6 sweeps it). The model is switched to eval mode.
 InferenceResult evaluate_sampled(nn::GnnModel& model, const Dataset& dataset,
                                  std::span<const NodeId> nodes,
                                  std::span<const std::int64_t> fanouts,

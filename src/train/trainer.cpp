@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <numeric>
 
 #include "autograd/functions.h"
 #include "obs/trace.h"
 #include "nn/loss.h"
 #include "prep/baseline_loader.h"
 #include "prep/salient_loader.h"
+#include "sampling/distributed.h"
 #include "tensor/ops.h"
 
 namespace salient {
@@ -148,16 +150,14 @@ EpochStats Trainer::run_replay(int epoch) {
 
   // Reshuffle the stored batches so replay epochs still decorrelate the
   // optimizer's update order (LazyGCN shuffles within the mega-batch).
-  std::vector<std::size_t> order(replay_batches_.size());
+  std::vector<std::int64_t> order(replay_batches_.size());
   std::iota(order.begin(), order.end(), 0);
-  Xoshiro256ss rng(config_.loader.seed * 131 +
-                   static_cast<std::uint64_t>(epoch));
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[bounded_rand(rng, i)]);
-  }
+  schedule_shuffle(order, config_.loader.seed * 131 +
+                              static_cast<std::uint64_t>(epoch));
 
-  for (const std::size_t idx : order) {
-    const PreparedBatch& batch = replay_batches_[idx];
+  for (const std::int64_t idx : order) {
+    const PreparedBatch& batch =
+        replay_batches_[static_cast<std::size_t>(idx)];
     stats.transfer_bytes += batch.transfer_bytes();
     WallTimer t;
     DeviceBatch dev =
@@ -272,9 +272,8 @@ EpochStats Trainer::run_pipelined(int epoch, const LoaderConfig& epoch_cfg) {
 
   struct Inflight {
     std::shared_ptr<DeviceBatch> dev;
-    PreparedBatch host;    // recycled once copies completed
-    Event copies_done;     // copy-stream completion for this batch
-    Event train_done;      // compute-stream completion for this batch
+    PreparedBatch host;  // recycled at retire: the step waited on its copies
+    Event train_done;    // compute-stream completion for this batch
     std::shared_ptr<std::pair<double, double>> result;  // loss, acc
   };
   std::deque<Inflight> inflight;
@@ -331,7 +330,6 @@ EpochStats Trainer::run_pipelined(int epoch, const LoaderConfig& epoch_cfg) {
             ? device_.transfer_batch_cached(batch, *batch.cache_plan, *cache_,
                                             /*blocking=*/false, &ready)
             : device_.transfer_batch(batch, /*blocking=*/false, &ready));
-    item.copies_done = device_.copy_stream().record();
     item.host = std::move(batch);
     item.result = std::make_shared<std::pair<double, double>>(0.0, 0.0);
     auto dev = item.dev;

@@ -46,6 +46,23 @@ TEST(System, SalientPipelineTrainsAboveChance) {
   EXPECT_EQ(sys.epochs_trained(), 6);
 }
 
+TEST(System, ValAccuracyEqualsSerialOracleBitwise) {
+  // System evaluates through the pipeline (Trainer::inference_epoch) with
+  // the same per-batch seed schedule as the serial evaluate_sampled, so the
+  // two accuracies are the same double, and a repeat gives it again.
+  System sys(tiny_config());
+  sys.train(2);
+  const SystemConfig& cfg = sys.config();
+  const double oracle =
+      evaluate_sampled(*sys.model(), sys.dataset(), sys.dataset().val_idx,
+                       cfg.infer_fanouts, cfg.batch_size, cfg.seed ^ 0x7a1)
+          .accuracy;
+  const double val = sys.val_accuracy();
+  EXPECT_EQ(val, oracle);
+  EXPECT_EQ(sys.val_accuracy(), val);
+  EXPECT_GT(val, 0.1);
+}
+
 TEST(System, BaselineConfigurationAlsoTrains) {
   SystemConfig cfg = tiny_config();
   cfg.loader_kind = LoaderKind::kBaseline;
