@@ -267,6 +267,35 @@ void BM_LinearFusedKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearFusedKernel) KERNEL_AB_ARGS;
 
+/// A hidden layer's activation tail at train-arxiv's layer-0 output shape
+/// ([22040, 64], p = 0.5): relu, the counter dropout mask and a multiply
+/// (three passes, two temporaries) against the one-pass ops::relu_dropout.
+const Tensor& activation_fixture() {
+  static const Tensor x = Tensor::uniform({22040, 64}, 34, -1, 1);
+  return x;
+}
+
+void BM_ReluDropoutUnfusedKernel(benchmark::State& state) {
+  KernelABGuard guard(state.range(0) != 0, static_cast<int>(state.range(1)));
+  const Tensor& x = activation_fixture();
+  for (auto _ : state) {
+    Tensor y = ops::mul(ops::relu(x),
+                        ops::dropout_mask_counter(x.shape(), 0.5, 7));
+    benchmark::DoNotOptimize(y.raw());
+  }
+}
+BENCHMARK(BM_ReluDropoutUnfusedKernel) KERNEL_AB_ARGS;
+
+void BM_ReluDropoutFusedKernel(benchmark::State& state) {
+  KernelABGuard guard(state.range(0) != 0, static_cast<int>(state.range(1)));
+  const Tensor& x = activation_fixture();
+  for (auto _ : state) {
+    Tensor y = ops::relu_dropout(x, 0.5, 7);
+    benchmark::DoNotOptimize(y.raw());
+  }
+}
+BENCHMARK(BM_ReluDropoutFusedKernel) KERNEL_AB_ARGS;
+
 void BM_GemmF16AKernel(benchmark::State& state) {
   KernelABGuard guard(state.range(0) != 0, static_cast<int>(state.range(1)));
   const auto& f = linear_fixture();

@@ -154,13 +154,20 @@ Variable linear_act(const Variable& x, const Variable& weight,
       });
 }
 
-Variable relu(const Variable& x) {
-  Tensor mask = ops::relu_mask(x.data());
-  return make_op_result("ReLU", ops::relu(x.data()), {x},
-                        [mask](const Tensor& g, const std::vector<bool>&) {
-                          return std::vector<Tensor>{ops::mul(g, mask)};
-                        });
+Variable relu_dropout(const Variable& x, double p, bool training,
+                      std::uint64_t seed) {
+  const double drop_p = training ? p : 0.0;
+  Tensor y = ops::relu_dropout(x.data(), drop_p, seed);
+  // The output is the only saved state: y > 0 marks the elements that were
+  // positive and kept, so the backward needs no mask.
+  return make_op_result(
+      drop_p > 0.0 ? "ReLUDropout" : "ReLU", y, {x},
+      [y, drop_p](const Tensor& g, const std::vector<bool>&) {
+        return std::vector<Tensor>{ops::relu_dropout_backward(y, g, drop_p)};
+      });
 }
+
+Variable relu(const Variable& x) { return relu_dropout(x, 0.0, false, 0); }
 
 Variable leaky_relu(const Variable& x, double slope) {
   Tensor mask = ops::leaky_relu_mask(x.data(), slope);
@@ -173,7 +180,8 @@ Variable leaky_relu(const Variable& x, double slope) {
 Variable dropout(const Variable& x, double p, bool training,
                  std::uint64_t seed) {
   if (!training || p == 0.0) return x;
-  Tensor mask = ops::dropout_mask(x.data().shape(), p, seed, x.data().dtype());
+  Tensor mask =
+      ops::dropout_mask_counter(x.data().shape(), p, seed, x.data().dtype());
   return make_op_result("Dropout", ops::mul(x.data(), mask), {x},
                         [mask](const Tensor& g, const std::vector<bool>&) {
                           return std::vector<Tensor>{ops::mul(g, mask)};

@@ -40,11 +40,19 @@ Variable linear(const Variable& x, const Variable& weight,
 Variable linear_act(const Variable& x, const Variable& weight,
                     const Variable& bias, double dropout_p, bool training,
                     std::uint64_t seed);
-/// max(x, 0).
+/// Fused ReLU + inverted dropout, one pass: y = x > 0 && keep ? x/(1-p) : 0
+/// with the counter-based ops::dropout_keep decision (the fused GEMM
+/// epilogue's), bitwise equal for finite x to relu followed by dropout with
+/// ops::dropout_mask_counter. Saves only its output; the backward is one
+/// pass, dx = g * (y > 0 ? 1/(1-p) : 0). Plain ReLU when !training or p == 0.
+Variable relu_dropout(const Variable& x, double p, bool training,
+                      std::uint64_t seed);
+/// max(x, 0): relu_dropout with p = 0.
 Variable relu(const Variable& x);
 /// leaky ReLU with the given negative slope.
 Variable leaky_relu(const Variable& x, double slope = 0.01);
-/// Inverted dropout. Identity when !training or p == 0.
+/// Inverted dropout with the ops::dropout_mask_counter mask. Identity when
+/// !training or p == 0.
 Variable dropout(const Variable& x, double p, bool training,
                  std::uint64_t seed);
 /// Row-wise log-softmax.

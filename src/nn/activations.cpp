@@ -16,4 +16,8 @@ Variable Dropout::forward(const Variable& x) {
   return autograd::dropout(x, p_, is_training(), next_seed());
 }
 
+Variable Dropout::forward_relu(const Variable& x) {
+  return autograd::relu_dropout(x, p_, is_training(), next_seed());
+}
+
 }  // namespace salient::nn

@@ -13,12 +13,16 @@ Variable leaky_relu(const Variable& x, double slope = 0.01);
 /// Row-wise log-softmax.
 Variable log_softmax(const Variable& x);
 
-/// Inverted dropout. Each forward in training mode draws a fresh mask from
-/// the module's deterministic seed stream (see Module::set_seed).
+/// Inverted dropout. Each forward draws the next seed of the module's
+/// deterministic stream (see Module::set_seed), in eval mode too, so a
+/// training step's masks do not depend on how many eval passes ran before.
 class Dropout : public Module {
  public:
   explicit Dropout(double p) : p_(p) {}
   Variable forward(const Variable& x);
+  /// dropout(relu(x)) as one fused autograd::relu_dropout pass; draws one
+  /// seed, like forward.
+  Variable forward_relu(const Variable& x);
   double p() const { return p_; }
 
  private:

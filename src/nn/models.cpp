@@ -49,8 +49,7 @@ Variable GraphSage::forward(const Variable& x, const Mfg& mfg) {
   for (std::size_t i = 0; i < convs_.size(); ++i) {
     h = convs_[i]->forward(h, mfg.levels[i]);
     if (i + 1 != convs_.size()) {
-      h = relu(h);
-      h = dropout_->forward(h);
+      h = dropout_->forward_relu(h);
     }
   }
   return log_softmax(h);
@@ -60,8 +59,7 @@ Variable GraphSage::apply_layer(int i, const Variable& x,
                                 const MfgLevel& level) {
   Variable h = convs_[static_cast<std::size_t>(i)]->forward(x, level);
   if (i + 1 != num_layers()) {
-    h = relu(h);
-    h = dropout_->forward(h);
+    h = dropout_->forward_relu(h);
   }
   return h;
 }
@@ -97,8 +95,7 @@ Variable Gat::forward(const Variable& x, const Mfg& mfg) {
   for (std::size_t i = 0; i < convs_.size(); ++i) {
     h = convs_[i]->forward(h, mfg.levels[i]);
     if (i + 1 != convs_.size()) {
-      h = relu(h);
-      h = dropout_->forward(h);
+      h = dropout_->forward_relu(h);
     }
   }
   return log_softmax(h);
@@ -107,8 +104,7 @@ Variable Gat::forward(const Variable& x, const Mfg& mfg) {
 Variable Gat::apply_layer(int i, const Variable& x, const MfgLevel& level) {
   Variable h = convs_[static_cast<std::size_t>(i)]->forward(x, level);
   if (i + 1 != num_layers()) {
-    h = relu(h);
-    h = dropout_->forward(h);
+    h = dropout_->forward_relu(h);
   }
   return h;
 }

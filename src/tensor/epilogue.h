@@ -5,7 +5,8 @@
 
 /// \file
 /// \brief Store-phase epilogues fused into the optimized GEMM, plus the
-/// counter-based dropout decision they (and ops::dropout_mask_counter) share.
+/// counter-based dropout decision they share with ops::dropout_mask_counter
+/// and ops::relu_dropout — the codebase's one dropout decision.
 ///
 /// The unfused Linear-forward path costs three extra full-tensor passes
 /// after the GEMM: add the bias row, apply ReLU (plus a mask write for the
@@ -65,8 +66,8 @@ inline std::uint64_t dropout_drop_threshold(double p) {
 /// Counter-based dropout decision for the element at flat index `index`:
 /// true when the element is KEPT. Pure function of (seed, index) — the same
 /// element gets the same decision whatever thread, chunk, or kernel
-/// evaluates it, which is what lets the fused epilogue and the standalone
-/// ops::dropout_mask_counter agree bitwise.
+/// evaluates it, which is what lets the fused epilogue, ops::relu_dropout and
+/// the standalone ops::dropout_mask_counter agree bitwise.
 inline bool dropout_keep(std::uint64_t seed, std::int64_t index,
                          std::uint64_t drop_threshold) {
   return detail::epi_mix64(seed ^

@@ -26,7 +26,6 @@
 #include <type_traits>
 
 #include "tensor/kernel_config.h"
-#include "util/rng.h"
 
 namespace salient::ops {
 
@@ -205,10 +204,6 @@ void axpy_(Tensor& a, const Tensor& b, double alpha) {
 
 Tensor relu(const Tensor& x) {
   return unary_op(x, "relu", [](double v) { return v > 0 ? v : 0.0; });
-}
-
-Tensor relu_mask(const Tensor& x) {
-  return unary_op(x, "relu_mask", [](double v) { return v > 0 ? 1.0 : 0.0; });
 }
 
 Tensor leaky_relu(const Tensor& x, double slope) {
@@ -558,61 +553,137 @@ double accuracy(const Tensor& logits, const Tensor& target) {
   return static_cast<double>(hit) / static_cast<double>(m);
 }
 
-Tensor dropout_mask(const std::vector<std::int64_t>& shape, double p,
-                    std::uint64_t seed, DType dtype) {
-  if (p < 0 || p >= 1) throw std::invalid_argument("dropout_mask: bad p");
+namespace {
+
+/// 1/(1-p) for a drop probability p, which must lie in [0, 1).
+double inverted_keep_scale(double p, const char* op) {
+  if (p < 0 || p >= 1) throw std::invalid_argument(std::string(op) + ": bad p");
+  return 1.0 / (1.0 - p);
+}
+
+// The three counter-based dropout kernels below take every operand by value.
+// Read through a by-reference lambda capture, the scale of `keep ? scale : 0`
+// becomes a conditional per-element load that may alias the output, and gcc
+// leaves the loop scalar.
+// Each element is a pure function of (seed, i) and the loop bodies are
+// selects, not branches, so any chunking produces the same bits.
+
+template <typename T>
+void dropout_mask_range(T* m, std::int64_t ib, std::int64_t ie,
+                        std::uint64_t seed, std::uint64_t thr, T scale) {
+  for (std::int64_t i = ib; i < ie; ++i) {
+    m[i] = dropout_keep(seed, i, thr) ? scale : T(0);
+  }
+}
+
+template <bool kDrop, typename T>
+void relu_dropout_range(const T* x, T* y, std::int64_t ib, std::int64_t ie,
+                        std::uint64_t seed, std::uint64_t thr, T scale) {
+  for (std::int64_t i = ib; i < ie; ++i) {
+    const T v = x[i];
+    if constexpr (kDrop) {
+      // `&`, not `&&`: both sides are evaluated, so there is no branch.
+      const bool on = (v > T(0)) & dropout_keep(seed, i, thr);
+      y[i] = on ? v * scale : T(0);
+    } else {
+      y[i] = v > T(0) ? v : T(0);
+    }
+  }
+}
+
+template <typename T>
+void relu_dropout_backward_range(const T* y, const T* g, T* dx,
+                                 std::int64_t ib, std::int64_t ie, T scale) {
+  // A multiply by the selected factor, not a select of g: a dropped element
+  // of a negative gradient stores -0.0, exactly as g * mask did.
+  for (std::int64_t i = ib; i < ie; ++i) {
+    dx[i] = g[i] * (y[i] > T(0) ? scale : T(0));
+  }
+}
+
+}  // namespace
+
+Tensor dropout_mask_counter(const std::vector<std::int64_t>& shape, double p,
+                            std::uint64_t seed, DType dtype) {
+  const double inv_keep = inverted_keep_scale(p, "dropout_mask_counter");
+  if (dtype != DType::kF32 && dtype != DType::kF64) {
+    throw std::runtime_error("dropout_mask_counter: dtype must be f32/f64");
+  }
   Tensor mask(shape, dtype);
-  Xoshiro256ss rng(seed);
-  const double keep = 1.0 - p;
-  const double inv_keep = 1.0 / keep;
+  const std::uint64_t thr = dropout_drop_threshold(p);
   const std::int64_t n = mask.numel();
-  // Threshold in the generator's output range for the keep probability.
-  const auto threshold = static_cast<std::uint64_t>(
-      keep * static_cast<double>(Xoshiro256ss::max()));
+  auto run = [&](auto* pm) {
+    using T = std::remove_pointer_t<decltype(pm)>;
+    const auto scale = static_cast<T>(inv_keep);
+    run_indexed(n, n, [=](std::int64_t ib, std::int64_t ie) {
+      dropout_mask_range(pm, ib, ie, seed, thr, scale);
+    });
+  };
   if (dtype == DType::kF32) {
-    float* pm = mask.data<float>();
-    for (std::int64_t i = 0; i < n; ++i)
-      pm[i] = rng() <= threshold ? static_cast<float>(inv_keep) : 0.0f;
-  } else if (dtype == DType::kF64) {
-    double* pm = mask.data<double>();
-    for (std::int64_t i = 0; i < n; ++i)
-      pm[i] = rng() <= threshold ? inv_keep : 0.0;
+    run(mask.data<float>());
   } else {
-    throw std::runtime_error("dropout_mask: dtype must be f32/f64");
+    run(mask.data<double>());
   }
   return mask;
 }
 
-Tensor dropout_mask_counter(const std::vector<std::int64_t>& shape, double p,
-                            std::uint64_t seed, DType dtype) {
-  if (p < 0 || p >= 1) {
-    throw std::invalid_argument("dropout_mask_counter: bad p");
-  }
-  Tensor mask(shape, dtype);
-  const double inv_keep = 1.0 / (1.0 - p);
+Tensor relu_dropout(const Tensor& x, double p, std::uint64_t seed) {
+  check_float(x, "relu_dropout");
+  const double inv_keep = inverted_keep_scale(p, "relu_dropout");
+  Tensor y(x.shape(), x.dtype());
   const std::uint64_t thr = dropout_drop_threshold(p);
-  const std::int64_t n = mask.numel();
-  // Each entry is a pure function of (seed, i): chunk-order independent, so
-  // the parallel split cannot change the mask.
-  if (dtype == DType::kF32) {
-    float* pm = mask.data<float>();
-    const auto scale = static_cast<float>(inv_keep);
-    run_indexed(n, n, [&](std::int64_t ib, std::int64_t ie) {
-      for (std::int64_t i = ib; i < ie; ++i) {
-        pm[i] = dropout_keep(seed, i, thr) ? scale : 0.0f;
-      }
-    });
-  } else if (dtype == DType::kF64) {
-    double* pm = mask.data<double>();
-    run_indexed(n, n, [&](std::int64_t ib, std::int64_t ie) {
-      for (std::int64_t i = ib; i < ie; ++i) {
-        pm[i] = dropout_keep(seed, i, thr) ? inv_keep : 0.0;
-      }
-    });
+  const std::int64_t n = x.numel();
+  auto run = [&](auto* py) {
+    using T = std::remove_pointer_t<decltype(py)>;
+    const T* px = x.data<T>();
+    const auto scale = static_cast<T>(inv_keep);
+    if (p > 0) {
+      // A 64-bit hash per element makes the dropout pass compute-bound.
+      run_indexed(n, n, [=](std::int64_t ib, std::int64_t ie) {
+        relu_dropout_range<true>(px, py, ib, ie, seed, thr, scale);
+      });
+    } else {
+      run_indexed(
+          n, n,
+          [=](std::int64_t ib, std::int64_t ie) {
+            relu_dropout_range<false>(px, py, ib, ie, seed, thr, scale);
+          },
+          GrainClass::kMemoryBound);
+    }
+  };
+  if (x.dtype() == DType::kF32) {
+    run(y.data<float>());
   } else {
-    throw std::runtime_error("dropout_mask_counter: dtype must be f32/f64");
+    run(y.data<double>());
   }
-  return mask;
+  return y;
+}
+
+Tensor relu_dropout_backward(const Tensor& y, const Tensor& g, double p) {
+  check_float(g, "relu_dropout_backward");
+  check_same(y, g, "relu_dropout_backward");
+  const double inv_keep = inverted_keep_scale(p, "relu_dropout_backward");
+  Tensor dx(g.shape(), g.dtype());
+  const std::int64_t n = g.numel();
+  auto run = [&](auto* pdx) {
+    using T = std::remove_pointer_t<decltype(pdx)>;
+    const T* py = y.data<T>();
+    const T* pg = g.data<T>();
+    const auto scale = static_cast<T>(inv_keep);
+    // Three streams, one multiply per element: memory-bound grain class.
+    run_indexed(
+        n, n,
+        [=](std::int64_t ib, std::int64_t ie) {
+          relu_dropout_backward_range(py, pg, pdx, ib, ie, scale);
+        },
+        GrainClass::kMemoryBound);
+  };
+  if (g.dtype() == DType::kF32) {
+    run(dx.data<float>());
+  } else {
+    run(dx.data<double>());
+  }
+  return dx;
 }
 
 namespace {

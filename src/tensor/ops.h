@@ -39,8 +39,6 @@ void axpy_(Tensor& a, const Tensor& b, double alpha);
 
 /// max(x, 0).
 Tensor relu(const Tensor& x);
-/// x > 0 ? 1 : 0, as the same float dtype (used by relu backward).
-Tensor relu_mask(const Tensor& x);
 /// x > 0 ? x : slope * x.
 Tensor leaky_relu(const Tensor& x, double slope);
 /// d/dx leaky_relu: x > 0 ? 1 : slope.
@@ -88,19 +86,28 @@ double accuracy(const Tensor& logits, const Tensor& target);
 
 // --- dropout ------------------------------------------------------------------
 
-/// Inverted-dropout mask: entries are 0 with probability p, else 1/(1-p).
-Tensor dropout_mask(const std::vector<std::int64_t>& shape, double p,
-                    std::uint64_t seed, DType dtype = DType::kF32);
-
 /// Counter-based inverted-dropout mask: entry i is 0 when
 /// dropout_keep(seed, i, dropout_drop_threshold(p)) drops it, else 1/(1-p).
-/// Unlike dropout_mask (a sequential RNG stream), each entry is a pure hash
-/// of (seed, flat index), so the mask is identical however the tensor is
-/// chunked — the property that lets the fused GEMM epilogue
-/// (tensor/epilogue.h) evaluate the same decisions tile-by-tile and agree
-/// bitwise with this standalone op.
+/// Each entry is a pure hash of (seed, flat index), so the mask is identical
+/// however the tensor is chunked — the property that lets the fused GEMM
+/// epilogue (tensor/epilogue.h) and relu_dropout evaluate the same decisions
+/// tile-by-tile and agree bitwise with this standalone op.
 Tensor dropout_mask_counter(const std::vector<std::int64_t>& shape, double p,
                             std::uint64_t seed, DType dtype = DType::kF32);
+
+/// Fused ReLU + inverted dropout in one pass:
+/// `y[i] = x[i] > 0 && dropout_keep(seed, i, thr) ? x[i] / (1-p) : 0`.
+/// For finite x, bitwise equal to
+/// `mul(relu(x), dropout_mask_counter(shape, p, seed))` (a dropped +inf
+/// stores 0 here, NaN there); p = 0 is plain relu (no hash is evaluated).
+/// The ReLU is a select, so -0.0 and NaN inputs store +0.0 as relu does.
+Tensor relu_dropout(const Tensor& x, double p, std::uint64_t seed);
+
+/// Gradient of relu_dropout from its saved OUTPUT y (no mask is kept):
+/// `dx[i] = g[i] * (y[i] > 0 ? 1/(1-p) : 0)`. y > 0 exactly where the input
+/// was positive and kept (1/(1-p) >= 1 cannot underflow a positive x), so
+/// this equals the relu-mask-times-dropout-mask chain bitwise.
+Tensor relu_dropout_backward(const Tensor& y, const Tensor& g, double p);
 
 // --- sparse (CSR) neighborhood aggregation -----------------------------------
 //

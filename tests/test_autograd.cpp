@@ -227,6 +227,36 @@ TEST(Gradcheck, DropoutMaskChainRule) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
+TEST(Gradcheck, ReluDropoutChainRule) {
+  auto fn = [](const std::vector<Variable>& in) {
+    Variable y = ag::relu_dropout(in[0], 0.4, true, /*seed=*/99);
+    return ag::nll_loss(ag::log_softmax(y),
+                        Tensor::from_vector<std::int64_t>({0, 1, 3}, {3}));
+  };
+  auto r = ag::gradcheck(fn, {leaf({3, 6}, 81)});
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
+TEST(ReluDropout, EvalModeAndZeroPAreRelu) {
+  for (const DType dt : {DType::kF32, DType::kF64}) {
+    Tensor x = Tensor::uniform({64, 33}, 82, -1, 1, dt);
+    if (dt == DType::kF32) {
+      x.data<float>()[0] = -0.0f;
+    } else {
+      x.data<double>()[0] = -0.0;
+    }
+    const Tensor want = ops::relu(x);
+    const Variable eval_y = ag::relu_dropout(Variable(x), 0.5, false, 7);
+    const Variable zero_p = ag::relu_dropout(Variable(x), 0.0, true, 7);
+    EXPECT_EQ(std::memcmp(want.raw(), eval_y.data().raw(), want.nbytes()), 0);
+    EXPECT_EQ(std::memcmp(want.raw(), zero_p.data().raw(), want.nbytes()), 0);
+    EXPECT_EQ(
+        std::memcmp(want.raw(), ag::relu(Variable(x)).data().raw(),
+                    want.nbytes()),
+        0);
+  }
+}
+
 // --- skipped and shared gradients -----------------------------------------
 
 using GraphFn = std::function<Variable(const std::vector<Variable>&)>;

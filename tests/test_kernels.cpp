@@ -9,8 +9,10 @@
 //     CSRs) and under autograd::gradcheck on the optimized path.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -549,6 +551,95 @@ TEST(FusedEpilogue, DeterministicAcrossPoolSizes) {
         x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed, &mask);
     EXPECT_TRUE(bitwise_equal(base, got)) << threads << " threads";
     EXPECT_TRUE(bitwise_equal(mask1, mask)) << threads << " threads";
+  }
+}
+
+// --- fused ReLU + dropout (ops::relu_dropout) --------------------------------
+
+/// Random values in (-2, 2) seeded with the special cases the select must
+/// keep bitwise: signed zeros, denormals of both signs and NaN. (An infinite
+/// input is left out on purpose: the chain's dropped `inf * 0` is NaN where
+/// the select stores 0.)
+Tensor relu_dropout_input(DType dt) {
+  Tensor x = Tensor::uniform({301, 67}, 141, -2, 2, dt);
+  const double denorm = dt == DType::kF32
+                            ? std::numeric_limits<float>::denorm_min()
+                            : std::numeric_limits<double>::denorm_min();
+  const double specials[] = {-0.0, 0.0, denorm, -denorm, 3 * denorm,
+                             1e-40, -1e-40, std::nan("")};
+  for (std::int64_t i = 0; i < x.numel(); i += 7) {
+    const double v = specials[(i / 7) % 8];
+    if (dt == DType::kF32) {
+      x.data<float>()[i] = static_cast<float>(v);
+    } else {
+      x.data<double>()[i] = v;
+    }
+  }
+  return x;
+}
+
+TEST(ReluDropout, BitwiseMatchesReluThenCounterMask) {
+  KernelGuard guard;
+  for (const DType dt : {DType::kF32, DType::kF64}) {
+    const Tensor x = relu_dropout_input(dt);
+    for (const double p : {0.0, 0.35}) {
+      for (const ops::KernelKind kk :
+           {ops::KernelKind::kRef, ops::KernelKind::kOpt}) {
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          ThreadPool pool(threads);
+          guard.use(kk, &pool);
+          const Tensor want = ops::mul(
+              ops::relu(x), ops::dropout_mask_counter(x.shape(), p, 0xd20, dt));
+          EXPECT_TRUE(bitwise_equal(want, ops::relu_dropout(x, p, 0xd20)))
+              << "dtype=" << dtype_name(dt) << " p=" << p
+              << " kernel=" << static_cast<int>(kk) << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReluDropout, BackwardMatchesMaskChainBitwise) {
+  // The unfused backward was relu's mask times dropout's mask applied to g
+  // in turn; the fused one reads the saved output instead of either mask.
+  for (const DType dt : {DType::kF32, DType::kF64}) {
+    const Tensor x = relu_dropout_input(dt);
+    const Tensor g = Tensor::uniform(x.shape(), 142, -1, 1, dt);
+    const double p = 0.35;
+    const Tensor drop = ops::dropout_mask_counter(x.shape(), p, 0xd21, dt);
+    Tensor pos(x.shape(), dt);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      if (dt == DType::kF32) {
+        pos.data<float>()[i] = x.data<float>()[i] > 0 ? 1.0f : 0.0f;
+      } else {
+        pos.data<double>()[i] = x.data<double>()[i] > 0 ? 1.0 : 0.0;
+      }
+    }
+    const Tensor want = ops::mul(ops::mul(g, drop), pos);
+    const Tensor y = ops::relu_dropout(x, p, 0xd21);
+    EXPECT_TRUE(bitwise_equal(want, ops::relu_dropout_backward(y, g, p)))
+        << dtype_name(dt);
+  }
+}
+
+TEST(ReluDropout, OutputAndGradientDeterministicAcrossPoolSizes) {
+  const Tensor x = Tensor::uniform({301, 67}, 143, -1, 1);
+  const Tensor g = Tensor::uniform({301, 67}, 144, -1, 1);
+  KernelGuard guard;
+  Tensor base_y, base_dx;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    guard.use(ops::KernelKind::kOpt, &pool);
+    Variable in(x, true);
+    Variable y = ag::relu_dropout(in, 0.5, /*training=*/true, 0xfeed);
+    y.backward(g);
+    if (threads == 1) {
+      base_y = y.data();
+      base_dx = in.grad();
+      continue;
+    }
+    EXPECT_TRUE(bitwise_equal(base_y, y.data())) << threads << " threads";
+    EXPECT_TRUE(bitwise_equal(base_dx, in.grad())) << threads << " threads";
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autograd/functions.h"
 #include "autograd/gradcheck.h"
@@ -58,6 +59,24 @@ TEST(Module, TrainModePropagatesToChildren) {
   EXPECT_FALSE(model->is_training());
   model->train(true);
   EXPECT_TRUE(model->is_training());
+}
+
+TEST(Dropout, ForwardReluEqualsReluThenForwardAndDrawsOneSeed) {
+  // Two modules on the same seed stream: the fused call and the unfused
+  // relu + forward must agree bitwise on every draw, in training and eval,
+  // so the stream advances by exactly one seed per call either way.
+  nn::Dropout fused(0.5), unfused(0.5);
+  fused.set_seed(11);
+  unfused.set_seed(11);
+  const Tensor x = Tensor::uniform({40, 16}, 12, -1, 1);
+  for (const bool training : {true, false, true}) {
+    fused.train(training);
+    unfused.train(training);
+    const Tensor a = fused.forward_relu(Variable(x)).data();
+    const Tensor b = unfused.forward(nn::relu(Variable(x))).data();
+    EXPECT_EQ(std::memcmp(a.raw(), b.raw(), a.nbytes()), 0)
+        << "training=" << training;
+  }
 }
 
 TEST(Linear, MatchesManualComputation) {

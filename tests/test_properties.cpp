@@ -80,9 +80,7 @@ TEST(OpsProperties, AlgebraicIdentities) {
         ops::sub(ops::relu(x), ops::relu(ops::scale(x, -1.0)));
     EXPECT_TRUE(allclose(relu_id, x, 1e-6, 1e-6));
     // exp(log(|x|+1)) == |x|+1
-    Tensor absx_p1 = ops::add(ops::mul(ops::relu_mask(x), x),
-                              ops::mul(ops::relu_mask(ops::scale(x, -1.0)),
-                                       ops::scale(x, -1.0)));
+    Tensor absx_p1 = ops::add(ops::relu(x), ops::relu(ops::scale(x, -1.0)));
     absx_p1 = ops::add(absx_p1, Tensor::ones({13, 7}));
     EXPECT_TRUE(allclose(ops::exp(ops::log(absx_p1)), absx_p1, 1e-4, 1e-4));
   }

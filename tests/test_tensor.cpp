@@ -125,7 +125,9 @@ TEST(Ops, UnaryKernels) {
   Tensor x = Tensor::from_vector<float>({-2, -0.5, 0, 1, 3}, {5});
   EXPECT_TRUE(allclose(ops::relu(x),
                        Tensor::from_vector<float>({0, 0, 0, 1, 3}, {5})));
-  EXPECT_TRUE(allclose(ops::relu_mask(x),
+  // The ReLU gradient read from the saved output: 1 where x > 0, else 0.
+  EXPECT_TRUE(allclose(ops::relu_dropout_backward(ops::relu(x),
+                                                  Tensor::ones({5}), 0.0),
                        Tensor::from_vector<float>({0, 0, 0, 1, 1}, {5})));
   EXPECT_TRUE(allclose(
       ops::leaky_relu(x, 0.1),
@@ -222,14 +224,14 @@ TEST(Ops, ArgmaxAndAccuracy) {
 
 TEST(Ops, DropoutMaskStatistics) {
   const double p = 0.3;
-  Tensor m = ops::dropout_mask({10000}, p, 77);
+  Tensor m = ops::dropout_mask_counter({10000}, p, 77);
   std::int64_t zeros = 0;
   for (float v : m.span<float>()) {
     ASSERT_TRUE(v == 0.0f || std::abs(v - 1.0f / 0.7f) < 1e-5);
     zeros += (v == 0.0f);
   }
   EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, p, 0.02);
-  EXPECT_THROW(ops::dropout_mask({4}, 1.0, 1), std::invalid_argument);
+  EXPECT_THROW(ops::dropout_mask_counter({4}, 1.0, 1), std::invalid_argument);
 }
 
 // --- matmul ---------------------------------------------------------------------
