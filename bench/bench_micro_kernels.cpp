@@ -261,7 +261,7 @@ void BM_LinearFusedKernel(benchmark::State& state) {
   const auto& f = linear_fixture();
   for (auto _ : state) {
     Tensor y = ops::gemm_epilogue(f.x, f.w, f.bias, ops::Epilogue::kBiasRelu,
-                                  0.0, 0, nullptr);
+                                  0.0, 0);
     benchmark::DoNotOptimize(y.raw());
   }
 }

@@ -139,18 +139,20 @@ Variable linear_act(const Variable& x, const Variable& weight,
     throw std::invalid_argument("linear_act: bias required");
   }
   Tensor tx = x.data(), tw = weight.data();
-  const bool drop = training && dropout_p > 0.0;
-  Tensor mask;
+  const double drop_p = training && dropout_p > 0.0 ? dropout_p : 0.0;
   Tensor y = ops::gemm_epilogue(
       tx, tw, bias.data(),
-      drop ? ops::Epilogue::kBiasReluDropout : ops::Epilogue::kBiasRelu,
-      drop ? dropout_p : 0.0, seed, &mask);
+      drop_p > 0.0 ? ops::Epilogue::kBiasReluDropout
+                   : ops::Epilogue::kBiasRelu,
+      drop_p, seed);
   return make_op_result(
-      "LinearAct", std::move(y), {x, weight, bias},
-      [tx, tw, mask](const Tensor& g, const std::vector<bool>& need) {
-        // mask is d y/d pre (relu gate x dropout scale), so one Hadamard
-        // recovers the pre-activation gradient; the rest is Linear backward.
-        return linear_backward(ops::mul(g, mask), tx, tw, need);
+      "LinearAct", y, {x, weight, bias},
+      [tx, tw, y, drop_p](const Tensor& g, const std::vector<bool>& need) {
+        // The epilogue's output is relu_dropout's output, so the same
+        // one-pass backward recovers the pre-activation gradient from it;
+        // the rest is Linear backward.
+        return linear_backward(ops::relu_dropout_backward(y, g, drop_p), tx,
+                               tw, need);
       });
 }
 

@@ -32,9 +32,9 @@ Variable linear(const Variable& x, const Variable& weight,
 /// Fused Linear + activation: dropout(relu(x @ W^T + bias)), computed as a
 /// single ops::gemm_epilogue call — bias, ReLU and (when training and
 /// dropout_p > 0) counter-based dropout are applied in the GEMM's store
-/// phase instead of three full-tensor passes. The backward consumes the
-/// combined mask the epilogue saved: d pre = g ⊙ mask, then the usual
-/// Linear gradients. `bias` must be defined. The dropout stream is the
+/// phase instead of three full-tensor passes. No mask is saved: the backward
+/// recovers d pre from the output (ops::relu_dropout_backward), then takes
+/// the usual Linear gradients. `bias` must be defined. The dropout stream is the
 /// counter-based one (ops::dropout_mask_counter semantics), so results are
 /// deterministic for a given seed regardless of pool size.
 Variable linear_act(const Variable& x, const Variable& weight,

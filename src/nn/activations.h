@@ -14,8 +14,8 @@ Variable leaky_relu(const Variable& x, double slope = 0.01);
 Variable log_softmax(const Variable& x);
 
 /// Inverted dropout. Each forward draws the next seed of the module's
-/// deterministic stream (see Module::set_seed), in eval mode too, so a
-/// training step's masks do not depend on how many eval passes ran before.
+/// deterministic stream (see Module::set_seed). Eval passes draw one too, so
+/// a training step's masks depend on how many eval passes ran before it.
 class Dropout : public Module {
  public:
   explicit Dropout(double p) : p_(p) {}

@@ -9,14 +9,13 @@
 /// and ops::relu_dropout — the codebase's one dropout decision.
 ///
 /// The unfused Linear-forward path costs three extra full-tensor passes
-/// after the GEMM: add the bias row, apply ReLU (plus a mask write for the
-/// backward), and multiply by a dropout mask. All three are pure
-/// memory-bandwidth — on an activation of M·N floats they move ~8·M·N
-/// bytes beyond the GEMM itself. Fusing them into the microkernel's store
+/// after the GEMM: add the bias row, apply ReLU, and multiply by a dropout
+/// mask. All three are pure memory-bandwidth — on an activation of M·N
+/// floats they move ~8·M·N bytes beyond the GEMM itself. Fusing them into the microkernel's store
 /// phase applies the elementwise math while the output tile is still in
-/// registers, so the activation is written exactly once and the only extra
-/// traffic is the saved backward mask (docs/PERFORMANCE.md, bytes-moved
-/// section).
+/// registers, so the activation is written exactly once and saves no mask:
+/// the backward recovers d y/d pre from the output itself
+/// (ops::relu_dropout_backward; docs/PERFORMANCE.md, bytes-moved section).
 ///
 /// Determinism: the epilogue is elementwise over the finished accumulator
 /// tile, and the dropout decision is a pure hash of (seed, element index) —
@@ -34,10 +33,9 @@ enum class Epilogue : std::uint8_t {
   kNone = 0,
   /// Bias add only: `y = pre` with `pre` including the bias row.
   kBias = 1,
-  /// Bias + ReLU: `y = pre > 0 ? pre : 0`; the saved mask is 1 or 0.
+  /// Bias + ReLU: `y = pre > 0 ? pre : 0`.
   kBiasRelu = 2,
-  /// Bias + ReLU + inverted dropout: `y = pre > 0 && keep ? pre/(1-p) : 0`;
-  /// the saved mask is the combined derivative d y/d pre in {0, 1/(1-p)}.
+  /// Bias + ReLU + inverted dropout: `y = pre > 0 && keep ? pre/(1-p) : 0`.
   kBiasReluDropout = 3,
 };
 

@@ -246,13 +246,12 @@ void gemm_microkernel(const T* ap, const T* bp, std::int64_t k, T* c,
 
 /// Runtime parameters for the fused store-phase epilogue
 /// (tensor/epilogue.h). Bound once per GEMM call; the microkernel indexes
-/// `bias` by absolute output column and `mask` by absolute flat element
-/// index, so results do not depend on tile traversal order.
+/// `bias` by absolute output column and hashes the absolute flat element
+/// index for dropout, so results do not depend on tile traversal order.
 template <typename T>
 struct GemmEpilogue {
   Epilogue kind = Epilogue::kNone;
   const T* bias = nullptr;  ///< [n] bias row (kBias and stronger)
-  T* mask = nullptr;        ///< optional [m*n] d y/d pre (kBiasRelu and up)
   T keep_scale = T(1);      ///< 1/(1-p) inverted-dropout scale
   std::uint64_t seed = 0;   ///< dropout decision seed
   std::uint64_t drop_threshold = 0;  ///< dropout_drop_threshold(p)
@@ -263,8 +262,8 @@ struct GemmEpilogue {
 /// tiling, so fused and unfused outputs are bitwise equal given equal
 /// inputs), but the store phase applies a fused epilogue: the finished tile
 /// (plus prior-k-block partials from C when `accumulate`) gets bias, ReLU
-/// and counter-based dropout applied in one pass while it is still on-core,
-/// and the combined backward mask streams out alongside. Called only for a
+/// and counter-based dropout applied in one pass while it is still on-core.
+/// Called only for a
 /// GEMM's final k block; earlier blocks use the plain microkernel. A
 /// separate function (not a flag on gemm_microkernel) so the plain kernel's
 /// store phase stays branch-free.
@@ -327,7 +326,6 @@ void gemm_microkernel_epi(const T* ap, const T* bp, std::int64_t k, T* c,
 #endif
   for (std::int64_t r = 0; r < h; ++r) {
     T* crow = c + (i0 + r) * ldc + j0;
-    T* mrow = epi.mask != nullptr ? epi.mask + (i0 + r) * epi.n + j0 : nullptr;
     const std::int64_t flat0 = (i0 + r) * epi.n + j0;
     // Fold prior-k-block partials and the bias into the tile first, then
     // apply each epilogue kind in its own tight loop. Keeping a per-element
@@ -352,18 +350,9 @@ void gemm_microkernel_epi(const T* ap, const T* bp, std::int64_t k, T* c,
       case Epilogue::kBiasRelu:
         // Select (not pre * mask): -x * 0 would store -0.0 and break
         // bitwise parity with the unfused relu.
-        if (mrow != nullptr) {
-          for (std::int64_t cix = 0; cix < w; ++cix) {
-            const T pre = tile[r][cix];
-            const bool pos = pre > T(0);
-            crow[cix] = pos ? pre : T(0);
-            mrow[cix] = pos ? T(1) : T(0);
-          }
-        } else {
-          for (std::int64_t cix = 0; cix < w; ++cix) {
-            const T pre = tile[r][cix];
-            crow[cix] = pre > T(0) ? pre : T(0);
-          }
+        for (std::int64_t cix = 0; cix < w; ++cix) {
+          const T pre = tile[r][cix];
+          crow[cix] = pre > T(0) ? pre : T(0);
         }
         break;
       case Epilogue::kBiasReluDropout:
@@ -373,7 +362,6 @@ void gemm_microkernel_epi(const T* ap, const T* bp, std::int64_t k, T* c,
               pre > T(0) &&
               dropout_keep(epi.seed, flat0 + cix, epi.drop_threshold);
           crow[cix] = on ? pre * epi.keep_scale : T(0);
-          if (mrow != nullptr) mrow[cix] = on ? epi.keep_scale : T(0);
         }
         break;
     }

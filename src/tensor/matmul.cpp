@@ -541,7 +541,7 @@ Tensor matmul_typed(const Tensor& a, const Tensor& b, bool trans_a,
 template <typename T>
 Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
                            const Tensor& bias, Epilogue ep, double dropout_p,
-                           std::uint64_t seed, Tensor* mask_out) {
+                           std::uint64_t seed) {
   const std::int64_t m = x.size(0), k = x.size(1), n = w.size(0);
   if (w.size(1) != k) {
     throw std::runtime_error("gemm_epilogue: inner dimension mismatch: " +
@@ -555,12 +555,6 @@ Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
     throw std::invalid_argument("gemm_epilogue: bad dropout_p");
   }
   Tensor out({m, n}, x.dtype());
-  T* pmask = nullptr;
-  if (mask_out != nullptr &&
-      (ep == Epilogue::kBiasRelu || ep == Epilogue::kBiasReluDropout)) {
-    *mask_out = Tensor({m, n}, x.dtype());
-    pmask = mask_out->data<T>();
-  }
   // w is [N,K] (the nn::Linear layout); the packed path wants B row-major
   // [K,N], so materialize the transpose exactly like matmul(trans_b=true).
   std::vector<T> wt(static_cast<std::size_t>(k) * n);
@@ -569,7 +563,6 @@ Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
   detail::GemmEpilogue<T> epi;
   epi.kind = ep;
   epi.bias = ep != Epilogue::kNone ? bias.data<T>() : nullptr;
-  epi.mask = pmask;
   epi.n = n;
   if (ep == Epilogue::kBiasReluDropout) {
     epi.keep_scale = static_cast<T>(1.0 / (1.0 - dropout_p));
@@ -592,20 +585,14 @@ Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
           case Epilogue::kBias:
             pc[i * n + j] = pre;
             break;
-          case Epilogue::kBiasRelu: {
-            const bool pos = pre > T(0);
-            pc[i * n + j] = pos ? pre : T(0);
-            if (pmask != nullptr) pmask[i * n + j] = pos ? T(1) : T(0);
+          case Epilogue::kBiasRelu:
+            pc[i * n + j] = pre > T(0) ? pre : T(0);
             break;
-          }
           case Epilogue::kBiasReluDropout: {
             const bool keep =
                 dropout_keep(epi.seed, i * n + j, epi.drop_threshold);
             const bool pos = pre > T(0);
             pc[i * n + j] = pos && keep ? pre * epi.keep_scale : T(0);
-            if (pmask != nullptr) {
-              pmask[i * n + j] = pos && keep ? epi.keep_scale : T(0);
-            }
             break;
           }
         }
@@ -620,8 +607,8 @@ Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
 }  // namespace
 
 Tensor gemm_epilogue(const Tensor& x, const Tensor& w, const Tensor& bias,
-                     Epilogue epilogue, double dropout_p, std::uint64_t seed,
-                     Tensor* mask_out) {
+                     Epilogue epilogue, double dropout_p,
+                     std::uint64_t seed) {
   if (x.dim() != 2 || w.dim() != 2) {
     throw std::runtime_error("gemm_epilogue: x and w must be 2-D");
   }
@@ -630,11 +617,11 @@ Tensor gemm_epilogue(const Tensor& x, const Tensor& w, const Tensor& bias,
   }
   switch (x.dtype()) {
     case DType::kF32:
-      return gemm_epilogue_typed<float>(x, w, bias, epilogue, dropout_p, seed,
-                                        mask_out);
+      return gemm_epilogue_typed<float>(x, w, bias, epilogue, dropout_p,
+                                        seed);
     case DType::kF64:
       return gemm_epilogue_typed<double>(x, w, bias, epilogue, dropout_p,
-                                         seed, mask_out);
+                                         seed);
     default:
       throw std::runtime_error("gemm_epilogue: float tensor required");
   }

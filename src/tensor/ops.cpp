@@ -576,18 +576,14 @@ void dropout_mask_range(T* m, std::int64_t ib, std::int64_t ie,
   }
 }
 
-template <bool kDrop, typename T>
+template <typename T>
 void relu_dropout_range(const T* x, T* y, std::int64_t ib, std::int64_t ie,
                         std::uint64_t seed, std::uint64_t thr, T scale) {
   for (std::int64_t i = ib; i < ie; ++i) {
     const T v = x[i];
-    if constexpr (kDrop) {
-      // `&`, not `&&`: both sides are evaluated, so there is no branch.
-      const bool on = (v > T(0)) & dropout_keep(seed, i, thr);
-      y[i] = on ? v * scale : T(0);
-    } else {
-      y[i] = v > T(0) ? v : T(0);
-    }
+    // `&`, not `&&`: both sides are evaluated, so there is no branch.
+    const bool on = (v > T(0)) & dropout_keep(seed, i, thr);
+    y[i] = on ? v * scale : T(0);
   }
 }
 
@@ -630,6 +626,7 @@ Tensor dropout_mask_counter(const std::vector<std::int64_t>& shape, double p,
 Tensor relu_dropout(const Tensor& x, double p, std::uint64_t seed) {
   check_float(x, "relu_dropout");
   const double inv_keep = inverted_keep_scale(p, "relu_dropout");
+  if (p == 0.0) return relu(x);
   Tensor y(x.shape(), x.dtype());
   const std::uint64_t thr = dropout_drop_threshold(p);
   const std::int64_t n = x.numel();
@@ -637,19 +634,10 @@ Tensor relu_dropout(const Tensor& x, double p, std::uint64_t seed) {
     using T = std::remove_pointer_t<decltype(py)>;
     const T* px = x.data<T>();
     const auto scale = static_cast<T>(inv_keep);
-    if (p > 0) {
-      // A 64-bit hash per element makes the dropout pass compute-bound.
-      run_indexed(n, n, [=](std::int64_t ib, std::int64_t ie) {
-        relu_dropout_range<true>(px, py, ib, ie, seed, thr, scale);
-      });
-    } else {
-      run_indexed(
-          n, n,
-          [=](std::int64_t ib, std::int64_t ie) {
-            relu_dropout_range<false>(px, py, ib, ie, seed, thr, scale);
-          },
-          GrainClass::kMemoryBound);
-    }
+    // A 64-bit hash per element makes the pass compute-bound.
+    run_indexed(n, n, [=](std::int64_t ib, std::int64_t ie) {
+      relu_dropout_range(px, py, ib, ie, seed, thr, scale);
+    });
   };
   if (x.dtype() == DType::kF32) {
     run(y.data<float>());

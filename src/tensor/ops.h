@@ -99,7 +99,7 @@ Tensor dropout_mask_counter(const std::vector<std::int64_t>& shape, double p,
 /// `y[i] = x[i] > 0 && dropout_keep(seed, i, thr) ? x[i] / (1-p) : 0`.
 /// For finite x, bitwise equal to
 /// `mul(relu(x), dropout_mask_counter(shape, p, seed))` (a dropped +inf
-/// stores 0 here, NaN there); p = 0 is plain relu (no hash is evaluated).
+/// stores 0 here, NaN there); p = 0 returns relu(x).
 /// The ReLU is a select, so -0.0 and NaN inputs store +0.0 as relu does.
 Tensor relu_dropout(const Tensor& x, double p, std::uint64_t seed);
 
@@ -190,10 +190,6 @@ Tensor matmul_compressed(const Tensor& a, const Tensor& a_scale,
 ///
 /// * `bias` must be a [N] vector for Epilogue::kBias and stronger; it is
 ///   ignored (may be empty) for kNone.
-/// * For kBiasRelu / kBiasReluDropout, `mask_out` (when non-null) is
-///   overwritten with the [M,N] combined derivative d y/d pre — 1/0 for
-///   ReLU, scaled by 1/(1-p) under dropout — which is exactly the factor
-///   the backward pass multiplies the output gradient by.
 /// * `dropout_p` in [0, 1) and `seed` drive the counter-based decisions
 ///   (kBiasReluDropout only).
 ///
@@ -203,7 +199,6 @@ Tensor matmul_compressed(const Tensor& a, const Tensor& a_scale,
 /// mul(dropout_mask_counter)} under the same seed, and run-to-run
 /// deterministic across pool sizes (tests/test_kernels.cpp).
 Tensor gemm_epilogue(const Tensor& x, const Tensor& w, const Tensor& bias,
-                     Epilogue epilogue, double dropout_p, std::uint64_t seed,
-                     Tensor* mask_out);
+                     Epilogue epilogue, double dropout_p, std::uint64_t seed);
 
 }  // namespace salient::ops

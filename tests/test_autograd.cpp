@@ -237,6 +237,17 @@ TEST(Gradcheck, ReluDropoutChainRule) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
+TEST(Gradcheck, LinearActWithDropout) {
+  auto fn = [](const std::vector<Variable>& in) {
+    Variable y = ag::linear_act(in[0], in[1], in[2], 0.4, true, /*seed=*/98);
+    return ag::nll_loss(ag::log_softmax(y),
+                        Tensor::from_vector<std::int64_t>({0, 4, 2}, {3}));
+  };
+  auto r = ag::gradcheck(fn, {leaf({3, 4}, 83), leaf({6, 4}, 84),
+                              leaf({6}, 85)});
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
 TEST(ReluDropout, EvalModeAndZeroPAreRelu) {
   for (const DType dt : {DType::kF32, DType::kF64}) {
     Tensor x = Tensor::uniform({64, 33}, 82, -1, 1, dt);
@@ -326,6 +337,33 @@ TEST(SkippedGradients, LinearAndLinearActAreBitwiseNeutral) {
           return ag::linear_act(in[0], in[1], in[2], 0.3, true, 5);
         },
         v, "linear_act rows=" + std::to_string(rows));
+  }
+}
+
+TEST(LinearAct, MatchesLinearThenReluDropoutBitwise) {
+  // The fused epilogue saves no mask; its backward reads the output exactly
+  // as relu_dropout's does, so output and every gradient equal the unfused
+  // chain bit for bit.
+  const Tensor x = f32({301, 24}, 120), w = f32({37, 24}, 121),
+               b = f32({37}, 122);
+  for (const double p : {0.0, 0.35}) {
+    std::vector<std::vector<Variable>> runs;
+    std::vector<Tensor> outs;
+    for (const bool fused : {true, false}) {
+      std::vector<Variable> in{Variable(x, true), Variable(w, true),
+                               Variable(b, true)};
+      Variable y = fused ? ag::linear_act(in[0], in[1], in[2], p, true, 9)
+                         : ag::relu_dropout(ag::linear(in[0], in[1], in[2]),
+                                            p, true, 9);
+      y.backward(Tensor::uniform(y.data().shape(), 7, -1, 1));
+      outs.push_back(y.data());
+      runs.push_back(std::move(in));
+    }
+    EXPECT_TRUE(bitwise_equal(outs[0], outs[1])) << "p=" << p;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(bitwise_equal(runs[0][i].grad(), runs[1][i].grad()))
+          << "p=" << p << " input " << i;
+    }
   }
 }
 

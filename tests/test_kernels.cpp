@@ -495,23 +495,10 @@ TEST(FusedEpilogue, BitwiseMatchesUnfusedCompositionPerKind) {
         ThreadPool pool(threads);
         guard.use(kk, &pool);
         const Tensor want = unfused_linear(x, w, bias, kind, p, seed);
-        Tensor mask;
-        const Tensor got =
-            ops::gemm_epilogue(x, w, bias, kind, p, seed, &mask);
+        const Tensor got = ops::gemm_epilogue(x, w, bias, kind, p, seed);
         EXPECT_TRUE(bitwise_equal(want, got))
             << "kind=" << static_cast<int>(kind)
             << " kernel=" << static_cast<int>(kk) << " threads=" << threads;
-        if (kind == ops::Epilogue::kBiasRelu ||
-            kind == ops::Epilogue::kBiasReluDropout) {
-          // The saved mask is exactly d y/d pre: rebuild y from the
-          // pre-activation and compare.
-          ASSERT_EQ(mask.shape(), got.shape());
-          const Tensor pre = ops::add_row_broadcast(
-              ops::matmul(x, w, false, true), bias);
-          EXPECT_TRUE(bitwise_equal(got, ops::mul(pre, mask)) ||
-                      allclose(got, ops::mul(pre, mask), 0, 0))
-              << "mask does not reconstruct the output";
-        }
       }
     }
   }
@@ -524,11 +511,11 @@ TEST(FusedEpilogue, RefVsOptWithinUlpBound) {
   KernelGuard guard;
   guard.use(ops::KernelKind::kRef);
   const Tensor ref = ops::gemm_epilogue(x, w, bias, ops::Epilogue::kBiasRelu,
-                                        0, 0, nullptr);
+                                        0, 0);
   ThreadPool pool(4);
   guard.use(ops::KernelKind::kOpt, &pool);
   const Tensor opt = ops::gemm_epilogue(x, w, bias, ops::Epilogue::kBiasRelu,
-                                        0, 0, nullptr);
+                                        0, 0);
   // Only the GEMM association differs between ref and opt.
   EXPECT_TRUE(allclose(ref, opt, 2e-5, 2e-5));
 }
@@ -540,17 +527,14 @@ TEST(FusedEpilogue, DeterministicAcrossPoolSizes) {
   KernelGuard guard;
   ThreadPool p1(1);
   guard.use(ops::KernelKind::kOpt, &p1);
-  Tensor mask1;
   const Tensor base = ops::gemm_epilogue(
-      x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed, &mask1);
+      x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed);
   for (const std::size_t threads : {4u, 8u}) {
     ThreadPool pool(threads);
     guard.use(ops::KernelKind::kOpt, &pool);
-    Tensor mask;
     const Tensor got = ops::gemm_epilogue(
-        x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed, &mask);
+        x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed);
     EXPECT_TRUE(bitwise_equal(base, got)) << threads << " threads";
-    EXPECT_TRUE(bitwise_equal(mask1, mask)) << threads << " threads";
   }
 }
 

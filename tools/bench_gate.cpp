@@ -173,8 +173,7 @@ std::vector<Entry> build_entries() {
                 }});
   es.push_back({"linear_fused_epi_4096x64x256", [] {
                   sink(ops::gemm_epilogue(lx, lw, lbias,
-                                          ops::Epilogue::kBiasRelu, 0.0, 0,
-                                          nullptr));
+                                          ops::Epilogue::kBiasRelu, 0.0, 0));
                 }});
 
   // Compressed-feature GEMM: an f16 activation matrix against f32 weights.
